@@ -20,15 +20,20 @@ from . import entangleswap
 from .cvhomodyne import HomodynePrep, curvature_invariance_report
 from .scenario import (
     BODY_PRESETS,
+    PROTOCOL_TABLE,
     RESULT_FIELDS,
     SOURCE_PRESETS,
     STATION_PRESETS,
     SWEEP_PARAMETERS,
     ConfigError,
+    Protocol,
     ScenarioResult,
     _parse_body,
+    _parse_link,
+    _parse_source,
+    _parse_station,
     load_config,
-    paper_table,
+    reference_table,
     render_csv,
     render_json,
     result_to_dict,
@@ -38,7 +43,6 @@ from .scenario import (
 from .spacetime import (
     Body,
     ConvergenceError,
-    Motion,
     Observer,
     ShiftParameter,
     Sign,
@@ -70,7 +74,7 @@ def _precision(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# shared flag groups and builders
+# shared flag groups and their config sub-documents
 
 
 def _output_parent() -> argparse.ArgumentParser:
@@ -124,62 +128,36 @@ def _source_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _build_body(args) -> Body:
-    if args.body is not None:
-        if args.mass_kg is not None or args.body_radius_m is not None:
-            raise ConfigError("body: give a preset or --mass-kg/--body-radius-m, not both")
-        return _parse_body(args.body)
-    if args.mass_kg is None and args.body_radius_m is None:
-        return _parse_body("earth")
-    if args.mass_kg is None or args.body_radius_m is None:
-        raise ConfigError("body: --mass-kg and --body-radius-m go together")
-    return _parse_body({"mass_kg": args.mass_kg, "radius_m": args.body_radius_m})
+def _flag_doc(preset, path: str, **flags):
+    """The config sub-document that a preset flag or a group of explicit
+    flags spells, {} when none is given.  The config parsers validate it."""
+    given = {key: value for key, value in flags.items() if value is not None}
+    if preset is not None and given:
+        raise ConfigError(f"{path}: give a preset or explicit flags, not both")
+    return preset if preset is not None else given
 
 
-def _build_emitter(args, body: Body) -> Observer:
-    radius = args.emitter_radius_m if args.emitter_radius_m is not None else body.radius
-    if radius <= body.schwarzschild_radius:
-        raise ConfigError("emitter: radius at or below the horizon")
-    return Observer(radius=radius, motion=Motion.STATIC)
-
-
-def _has_receiver_flags(args) -> bool:
-    return (
-        args.receiver is not None
-        or args.receiver_radius_m is not None
-        or args.receiver_motion is not None
+def _receiver_doc(args):
+    return _flag_doc(
+        args.receiver, "receiver", radius_m=args.receiver_radius_m, motion=args.receiver_motion
     )
 
 
-def _build_receiver(args, body: Body) -> Observer:
-    if args.receiver is not None:
-        if args.receiver_radius_m is not None or args.receiver_motion is not None:
-            raise ConfigError("receiver: give a preset or explicit flags, not both")
-        spec = STATION_PRESETS[args.receiver]
-        return Observer(radius=spec["radius_m"], motion=Motion(spec["motion"]))
-    if args.receiver_radius_m is None:
-        raise ConfigError("receiver: give --receiver or --receiver-radius-m")
-    motion = Motion(args.receiver_motion) if args.receiver_motion else Motion.STATIC
-    if args.receiver_radius_m <= body.schwarzschild_radius:
-        raise ConfigError("receiver: radius at or below the horizon")
-    return Observer(radius=args.receiver_radius_m, motion=motion)
+def _source(args) -> GaussianPacket:
+    doc = _flag_doc(args.source, "source", peak_hz=args.peak_hz, width_hz=args.width_hz)
+    return _parse_source(doc or "spdc_blue")
 
 
-def _build_source(args) -> GaussianPacket:
-    if args.source is not None:
-        if args.peak_hz is not None or args.width_hz is not None:
-            raise ConfigError("source: give a preset or --peak-hz/--width-hz, not both")
-        spec = SOURCE_PRESETS[args.source]
-        return GaussianPacket(peak_hz=spec["peak_hz"], width_hz=spec["width_hz"])
-    if args.peak_hz is None and args.width_hz is None:
-        spec = SOURCE_PRESETS["spdc_blue"]
-        return GaussianPacket(peak_hz=spec["peak_hz"], width_hz=spec["width_hz"])
-    if args.peak_hz is None or args.width_hz is None:
-        raise ConfigError("source: --peak-hz and --width-hz go together")
-    try:
-        return GaussianPacket(peak_hz=args.peak_hz, width_hz=args.width_hz)
-    except ValueError as exc:
-        raise ConfigError(f"source: {exc}") from None
+def _link(args, alternative: str = "") -> tuple[Body, Observer, Observer]:
+    """Body, emitter and receiver from the geometry flags; the emitter is
+    static and defaults to the body surface."""
+    body_doc = _flag_doc(args.body, "body", mass_kg=args.mass_kg, radius_m=args.body_radius_m)
+    body = _parse_body(body_doc or "earth")
+    receiver = _receiver_doc(args)
+    if not receiver:
+        raise ConfigError(f"receiver: give --receiver or --receiver-radius-m{alternative}")
+    radius = body.radius if args.emitter_radius_m is None else args.emitter_radius_m
+    return (body, *_parse_link(body, {"radius_m": radius}, receiver))
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +216,7 @@ def _emit_results(
 
 
 def _cmd_redshift(args) -> int:
-    body = _build_body(args)
-    emitter = _build_emitter(args, body)
-    receiver = _build_receiver(args, body)
+    body, emitter, receiver = _link(args)
     ratio = redshift_total(body, emitter, receiver)
     shift = shift_parameter(body, emitter, receiver)
     travel = coordinate_travel_time(body, emitter.radius, receiver.radius)
@@ -263,16 +239,13 @@ def _cmd_redshift(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
-    packet = _build_source(args)
+    packet = _source(args)
     if args.delta is not None:
-        if _has_receiver_flags(args):
+        if _receiver_doc(args):
             raise ConfigError("overlap: --delta replaces the geometry; drop the receiver flags")
         shift = ShiftParameter(delta=args.delta, sign=Sign(args.sign))
     else:
-        if not _has_receiver_flags(args):
-            raise ConfigError("overlap: give --delta or a receiver")
-        body = _build_body(args)
-        shift = shift_parameter(body, _build_emitter(args, body), _build_receiver(args, body))
+        shift = shift_parameter(*_link(args, " (or --delta)"))
     closed = overlap_gaussian_closed(packet, shift)
     row = {
         "delta": shift.delta,
@@ -310,11 +283,8 @@ def _q_from_args(args) -> float:
         if not 0.0 <= args.q <= 1.0:
             raise ConfigError(f"q: must lie in [0, 1], got {args.q}")
         return args.q
-    if not _has_receiver_flags(args):
-        raise ConfigError("give --q or a receiver to derive it from")
-    body = _build_body(args)
-    shift = shift_parameter(body, _build_emitter(args, body), _build_receiver(args, body))
-    return overlap_gaussian_closed(_build_source(args), shift).q
+    shift = shift_parameter(*_link(args, " (or --q)"))
+    return overlap_gaussian_closed(_source(args), shift).q
 
 
 def _cmd_entangle(args) -> int:
@@ -330,11 +300,10 @@ def _cmd_entangle(args) -> int:
             closed = entangleswap.memory_state_closed(q, outcome.which)
             sim_gap = max(sim_gap, float(np.max(np.abs(outcome.memory_state - closed))))
     p_share, p_diff = entangleswap.bit_probabilities(q)
+    figures, figure_tags = PROTOCOL_TABLE["entangle_qkd"]
     row = {
         "q": q,
-        "fidelity": 0.5 * (1.0 + math.sqrt(1.0 - q)),
-        "negativity": entangleswap.negativity_closed(q),
-        "qber": entangleswap.qber_closed(q),
+        **figures(math.sqrt(1.0 - q), q, Protocol(kind="entangle_qkd")),
         "p_share": p_share,
         "p_diff": p_diff,
         "p_d1": d1.probability,
@@ -349,9 +318,7 @@ def _cmd_entangle(args) -> int:
     }
     tags = {
         "q": "mode mismatch weight",
-        "fidelity": "F = <Psi+|rho_D1|Psi+> = (1 + sqrt(1-q))/2",
-        "negativity": "N = sqrt(1-q)/2",
-        "qber": "QBER = q/2",
+        **figure_tags,
         "p_share": "p_share = (2 - q)/2",
         "p_diff": "p_diff = q/2",
         "p_d1": "six-mode simulation: P(single click at D1)",
@@ -381,21 +348,16 @@ def _cmd_qber(args) -> int:
 
 
 def _cmd_cv_homodyne(args) -> int:
-    packet = _build_source(args)
-    lo_packet = None
-    if args.lo_peak_hz is not None or args.lo_width_hz is not None:
-        if args.lo_peak_hz is None or args.lo_width_hz is None:
-            raise ConfigError("lo: --lo-peak-hz and --lo-width-hz go together")
-        lo_packet = GaussianPacket(peak_hz=args.lo_peak_hz, width_hz=args.lo_width_hz)
+    packet = _source(args)
+    lo_doc = _flag_doc(None, "lo", peak_hz=args.lo_peak_hz, width_hz=args.lo_width_hz)
+    lo_packet = _parse_source(lo_doc, "lo") if lo_doc else None
     prep = HomodynePrep(alpha=args.alpha, beta=args.beta)
     earth = _parse_body("earth")
-    ground = Observer(radius=earth.radius, motion=Motion.STATIC)
-    iss = Observer(radius=STATION_PRESETS["iss"]["radius_m"], motion=Motion.CIRCULAR_ORBIT)
-    far = Observer(radius=STATION_PRESETS["far_field"]["radius_m"], motion=Motion.STATIC)
+    ground, iss, far_field = (_parse_station(name, name) for name in ("ground", "iss", "far_field"))
     scenarios = [
         (Body(mass=0.0, radius=earth.radius), ground, iss),
         (earth, ground, iss),
-        (earth, ground, far),
+        (earth, ground, far_field),
     ]
     labels = ("flat", "leo", "far_field")
     rows = curvature_invariance_report(prep, scenarios, packet=packet, lo_packet=lo_packet)
@@ -469,7 +431,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_paper_table(args) -> int:
-    rows = paper_table()
+    rows = reference_table()
     columns = ["quantity", "reference", "computed", "deviation", "tolerance", "verdict", "note"]
     tags = {
         "reference": "published value, as printed",

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .spacetime import Body, Observer, redshift_total
-from .wavepacket import GaussianPacket, WavePacket, overlap_quadrature, propagate_packet
+from .wavepacket import SOURCE_PRESETS, GaussianPacket, WavePacket, overlap_quadrature, propagate_packet
 
 __all__ = ["HomodynePrep", "HomodyneResult", "homodyne_expectation", "curvature_invariance_report"]
 
@@ -88,7 +88,7 @@ def curvature_invariance_report(
     closed forms assume matched modes).
     """
     if packet is None:
-        packet = GaussianPacket(peak_hz=700e12, width_hz=1e6)
+        packet = GaussianPacket(**SOURCE_PRESETS["spdc_blue"])
     rows: list[dict] = []
     reference: tuple[float, float] | None = None
     for idx, (body, emitter, receiver) in enumerate(scenarios):

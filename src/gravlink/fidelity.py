@@ -7,7 +7,6 @@ preserve bit for bit rather than up to rounding.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 __all__ = ["single_photon_fidelity", "coherent_fidelity", "tmss_fidelity"]
@@ -67,14 +66,3 @@ def tmss_fidelity(delta: complex | float, s: float) -> float:
     log_abs_z = log_ch2 + math.log(abs(resid))
     return math.exp(-2.0 * log_abs_z)
 
-
-def _coherent_overlap(delta: complex | float, alpha: complex | float) -> complex:
-    """<alpha_f|alpha_g> for coherent states of modes with overlap Delta.
-
-    Diagnostic companion to coherent_fidelity: the fidelity is the
-    squared modulus of this amplitude, exp(-|alpha|^2 (1 - Delta)) up to
-    a phase.
-    """
-    d = _check_delta(delta)
-    a = complex(alpha)
-    return cmath.exp(-abs(a) ** 2 * (1.0 - d))

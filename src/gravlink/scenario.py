@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 from . import entangleswap, fidelity
 from .cvhomodyne import HomodynePrep, homodyne_expectation
@@ -25,7 +25,13 @@ from .spacetime import (
     redshift_total,
     shift_parameter,
 )
-from .wavepacket import GaussianPacket, overlap_gaussian_closed, overlap_quadrature, propagate_packet
+from .wavepacket import (
+    SOURCE_PRESETS,
+    GaussianPacket,
+    overlap_gaussian_closed,
+    overlap_quadrature,
+    propagate_packet,
+)
 
 __all__ = [
     "ConfigError",
@@ -42,13 +48,11 @@ __all__ = [
     "config_to_dict",
     "run_scenario",
     "reference_table",
-    "paper_table",
     "sweep",
     "SWEEP_PARAMETERS",
     "result_to_dict",
     "render_json",
     "render_csv",
-    "render_text",
 ]
 
 
@@ -64,11 +68,6 @@ STATION_PRESETS: dict[str, dict] = {
     "ground": {"radius_m": 6_371_000.0, "motion": "static"},
     "iss": {"radius_m": 6_771_000.0, "motion": "orbit"},
     "far_field": {"radius_m": math.inf, "motion": "static"},
-}
-
-SOURCE_PRESETS: dict[str, dict] = {
-    "spdc_blue": {"peak_hz": 700e12, "width_hz": 1e6},
-    "rb_vapor": {"peak_hz": 380e12, "width_hz": 5e6},
 }
 
 PROTOCOL_KINDS = ("single_photon", "coherent", "tmss", "entangle_qkd", "cv_homodyne")
@@ -161,15 +160,15 @@ def _number(doc: dict, key: str, path: str, required: bool = True) -> float | No
             raise ConfigError(f"{path}.{key}: missing")
         return None
     val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or math.isnan(val):
         raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
     return float(val)
 
 
 def _positive(doc: dict, key: str, path: str) -> float:
     val = _number(doc, key, path)
-    if not (val > 0.0):
-        raise ConfigError(f"{path}.{key}: must be > 0, got {val}")
+    if not (0.0 < val < math.inf):
+        raise ConfigError(f"{path}.{key}: must be finite and > 0, got {val}")
     return val
 
 
@@ -181,8 +180,8 @@ def _parse_body(doc, path: str = "body") -> Body:
     doc = _require_mapping(doc, path)
     _reject_unknown(doc, {"mass_kg", "radius_m"}, path)
     mass = _number(doc, "mass_kg", path)
-    if mass < 0.0:
-        raise ConfigError(f"{path}.mass_kg: must be >= 0, got {mass}")
+    if not (0.0 <= mass < math.inf):
+        raise ConfigError(f"{path}.mass_kg: must be finite and >= 0, got {mass}")
     return Body(mass=mass, radius=_positive(doc, "radius_m", path))
 
 
@@ -242,6 +241,8 @@ def _parse_protocol(doc, path: str = "protocol") -> Protocol:
     values = {}
     for name in sorted(params):
         values[name] = _number(doc, name, path)
+        if math.isinf(values[name]):
+            raise ConfigError(f"{path}.{name}: must be finite, got {values[name]}")
     if kind == "tmss" and values["s"] < 0.0:
         raise ConfigError(f"{path}.s: must be >= 0, got {values['s']}")
     return Protocol(kind=kind, **values)
@@ -271,6 +272,25 @@ def _parse_output(doc, path: str = "output") -> OutputSpec:
     return OutputSpec(format=fmt, path=out_path)
 
 
+def _check_station(body: Body, radius: float, path: str) -> None:
+    if not (radius >= body.radius):
+        raise ConfigError(f"{path}: below the body surface r = {body.radius} m, got {radius}")
+    if radius <= body.schwarzschild_radius:
+        raise ConfigError(f"{path}: at or below the horizon")
+
+
+def _parse_link(body: Body, emitter_doc, receiver_doc) -> tuple[Observer, Observer]:
+    """Parse both stations and check the link they form over body: a
+    static emitter, and neither station below the surface or the horizon."""
+    emitter = _parse_station(emitter_doc, "emitter")
+    receiver = _parse_station(receiver_doc, "receiver")
+    if emitter.motion is not Motion.STATIC:
+        raise ConfigError("emitter.motion: orbiting emitters are not supported")
+    _check_station(body, emitter.radius, "emitter.radius_m")
+    _check_station(body, receiver.radius, "receiver.radius_m")
+    return emitter, receiver
+
+
 def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a configuration document (presets expanded, strict keys)."""
     doc = _require_mapping(doc, "config")
@@ -283,14 +303,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         if key not in doc:
             raise ConfigError(f"config.{key}: missing")
     body = _parse_body(doc["body"])
-    emitter = _parse_station(doc["emitter"], "emitter")
-    receiver = _parse_station(doc["receiver"], "receiver")
-    if emitter.motion is not Motion.STATIC:
-        raise ConfigError("emitter.motion: orbiting emitters are not supported")
-    if not math.isinf(emitter.radius) and emitter.radius <= body.schwarzschild_radius:
-        raise ConfigError("emitter.radius_m: at or below the horizon")
-    if receiver.radius <= body.schwarzschild_radius:
-        raise ConfigError("receiver.radius_m: at or below the horizon")
+    emitter, receiver = _parse_link(body, doc["emitter"], doc["receiver"])
     config = ScenarioConfig(
         body=body,
         emitter=emitter,
@@ -347,6 +360,38 @@ _GEOMETRY_TAGS = {
 }
 
 
+# Figures of merit per protocol kind: (Delta, q, protocol) -> values, and
+# the tag of each value.  Entries look fidelity.* and entangleswap.* up
+# at call time, so rebinding those module attributes reaches every caller.
+# cv_homodyne is absent: its numbers are not functions of (Delta, q).
+PROTOCOL_TABLE = {
+    "single_photon": (
+        lambda d, q, p: {"fidelity": fidelity.single_photon_fidelity(d)},
+        {"fidelity": "F = |Delta|^2"},
+    ),
+    "coherent": (
+        lambda d, q, p: {"fidelity": fidelity.coherent_fidelity(d, p.alpha)},
+        {"fidelity": "F = exp(-2 |alpha|^2 (1 - Re Delta))"},
+    ),
+    "tmss": (
+        lambda d, q, p: {"fidelity": fidelity.tmss_fidelity(d, p.s)},
+        {"fidelity": "F = 1/((1 - Delta) cosh^2 s + Delta)^2"},
+    ),
+    "entangle_qkd": (
+        lambda d, q, p: {
+            "fidelity": 0.5 * (1.0 + math.sqrt(1.0 - q)),
+            "negativity": entangleswap.negativity_closed(q),
+            "qber": entangleswap.qber_closed(q),
+        },
+        {
+            "fidelity": "F = <Psi+|rho_D1|Psi+> = (1 + sqrt(1-q))/2",
+            "negativity": "N = sqrt(1-q)/2",
+            "qber": "QBER = q/2",
+        },
+    ),
+}
+
+
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Chain geometry -> overlap -> protocol for one configuration."""
     body, emitter, receiver = config.body, config.emitter, config.receiver
@@ -369,31 +414,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     }
     extras: dict[str, float] = {}
     proto = config.protocol
-    delta_mode = float(overlap.delta)
-    q = overlap.q
 
-    if proto.kind == "single_photon":
-        values["fidelity"] = fidelity.single_photon_fidelity(delta_mode)
-        tags["fidelity"] = "F = |Delta|^2"
-    elif proto.kind == "coherent":
-        values["fidelity"] = fidelity.coherent_fidelity(delta_mode, proto.alpha)
-        tags["fidelity"] = "F = exp(-2 |alpha|^2 (1 - Re Delta))"
-    elif proto.kind == "tmss":
-        values["fidelity"] = fidelity.tmss_fidelity(delta_mode, proto.s)
-        tags["fidelity"] = "F = 1/((1 - Delta) cosh^2 s + Delta)^2"
-    elif proto.kind == "entangle_qkd":
-        values["fidelity"] = 0.5 * (1.0 + math.sqrt(1.0 - q))
-        values["negativity"] = entangleswap.negativity_closed(q)
-        values["qber"] = entangleswap.qber_closed(q)
-        tags["fidelity"] = "F = <Psi+|rho_D1|Psi+> = (1 + sqrt(1-q))/2"
-        tags["negativity"] = "N = sqrt(1-q)/2"
-        tags["qber"] = "QBER = q/2"
-        if config.monte_carlo is not None:
-            extras["qber_mc"] = entangleswap.qber_monte_carlo(
-                q, config.monte_carlo.trials, config.monte_carlo.seed
-            )
-            tags["qber_mc"] = "empirical fraction of disagreeing sifted bits (seeded)"
-    elif proto.kind == "cv_homodyne":
+    if proto.kind == "cv_homodyne":
         received_signal = propagate_packet(config.source, chi)
         received_lo = propagate_packet(config.source, chi)
         lo_overlap = overlap_quadrature(received_signal, received_lo)
@@ -407,21 +429,21 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         tags["x"] = "X = 2 Re(alpha conj(beta))"
         tags["v"] = "V = 2 |beta|^2 for |beta| >= 10 |alpha|, else exact"
         tags["exact_v"] = "V_exact = 2 (|beta|^2 + |alpha|^2)"
-    else:  # pragma: no cover - parse_config already rejects this
-        raise ConfigError(f"protocol.kind: unsupported {proto.kind!r}")
+    else:
+        figures, figure_tags = PROTOCOL_TABLE[proto.kind]
+        values.update(figures(values["Delta"], overlap.q, proto))
+        tags.update(figure_tags)
+        if proto.kind == "entangle_qkd" and config.monte_carlo is not None:
+            extras["qber_mc"] = entangleswap.qber_monte_carlo(
+                overlap.q, config.monte_carlo.trials, config.monte_carlo.seed
+            )
+            tags["qber_mc"] = "empirical fraction of disagreeing sifted bits (seeded)"
 
-    tags = {k: v for k, v in tags.items() if values.get(k) is not None or k in extras}
     return ScenarioResult(**values, tags=tags, extras=extras)
 
 
 # ---------------------------------------------------------------------------
 # reference table
-
-_EARTH = Body(**{"mass": 5.972e24, "radius": 6_371_000.0})
-_GROUND = Observer(6_371_000.0, Motion.STATIC)
-_ISS = Observer(6_771_000.0, Motion.CIRCULAR_ORBIT)
-_FAR = Observer(math.inf, Motion.STATIC)
-
 
 def _row(quantity, reference, computed, tolerance, conflicted=False, note=""):
     deviation = abs(computed - reference) / abs(reference)
@@ -452,11 +474,13 @@ def reference_table() -> list[dict]:
     candidate values; the computed value is never tuned to match a
     printed number.
     """
-    spdc = GaussianPacket(**SOURCE_PRESETS["spdc_blue"])
-    rb = GaussianPacket(**SOURCE_PRESETS["rb_vapor"])
+    earth = _parse_body("earth")
+    ground, iss, far_field = (_parse_station(name, name) for name in ("ground", "iss", "far_field"))
+    spdc = _parse_source("spdc_blue")
+    rb = _parse_source("rb_vapor")
 
-    shift_leo = shift_parameter(_EARTH, _GROUND, _ISS)
-    shift_far = shift_parameter(_EARTH, _GROUND, _FAR)
+    shift_leo = shift_parameter(earth, ground, iss)
+    shift_far = shift_parameter(earth, ground, far_field)
     leo = overlap_gaussian_closed(spdc, shift_leo)
     far = overlap_gaussian_closed(spdc, shift_far)
     far_rb = overlap_gaussian_closed(rb, shift_far)
@@ -512,10 +536,6 @@ def reference_table() -> list[dict]:
     return rows
 
 
-# the spec'd operation name for the subcommand of the same name
-paper_table = reference_table
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -524,32 +544,30 @@ SWEEP_PARAMETERS = ("width_hz", "peak_hz", "receiver_radius_m", "q")
 
 def _result_from_q(config: ScenarioConfig, q: float) -> ScenarioResult:
     if not (0.0 <= q <= 1.0):
-        raise ConfigError(f"sweep.grid: q must lie in [0, 1], got {q}")
+        raise ConfigError(f"q must lie in [0, 1], got {q}")
     delta_mode = math.sqrt(1.0 - q)
     values: dict[str, float | None] = {name: None for name in RESULT_FIELDS}
     values["Delta"] = delta_mode
     values["q"] = q
     tags = {"Delta": "Delta = sqrt(1-q) (swept q, geometry bypassed)", "q": "swept input"}
-    proto = config.protocol
-    if proto.kind == "single_photon":
-        values["fidelity"] = fidelity.single_photon_fidelity(delta_mode)
-        tags["fidelity"] = "F = |Delta|^2"
-    elif proto.kind == "coherent":
-        values["fidelity"] = fidelity.coherent_fidelity(delta_mode, proto.alpha)
-        tags["fidelity"] = "F = exp(-2 |alpha|^2 (1 - Re Delta))"
-    elif proto.kind == "tmss":
-        values["fidelity"] = fidelity.tmss_fidelity(delta_mode, proto.s)
-        tags["fidelity"] = "F = 1/((1 - Delta) cosh^2 s + Delta)^2"
-    elif proto.kind == "entangle_qkd":
-        values["fidelity"] = 0.5 * (1.0 + delta_mode)
-        values["negativity"] = entangleswap.negativity_closed(q)
-        values["qber"] = entangleswap.qber_closed(q)
-        tags["fidelity"] = "F = (1 + sqrt(1-q))/2"
-        tags["negativity"] = "N = sqrt(1-q)/2"
-        tags["qber"] = "QBER = q/2"
-    else:
-        raise ConfigError("sweep.parameter: q sweeps need a non-cv protocol")
+    figures, figure_tags = PROTOCOL_TABLE[config.protocol.kind]
+    values.update(figures(delta_mode, q, config.protocol))
+    tags.update(figure_tags)
     return ScenarioResult(**values, tags=tags, extras={})
+
+
+def _sweep_point(config: ScenarioConfig, parameter: str, value: float) -> ScenarioResult:
+    if parameter == "q":
+        return _result_from_q(config, value)
+    if parameter == "receiver_radius_m":
+        _check_station(config.body, value, "receiver.radius_m")
+        receiver = Observer(radius=value, motion=config.receiver.motion)
+        return run_scenario(replace(config, receiver=receiver))
+    try:
+        source = replace(config.source, **{parameter: value})
+    except ValueError as exc:
+        raise ConfigError(f"source: {exc}") from None
+    return run_scenario(replace(config, source=source))
 
 
 def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[ScenarioResult]:
@@ -558,43 +576,25 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
     parameter is one of width_hz, peak_hz (source), receiver_radius_m,
     or q (bypasses the geometry entirely; geometric fields come back
     None).  Monte Carlo settings are dropped during sweeps to keep rows
-    cheap and deterministic.
+    cheap and deterministic.  A grid value outside the model's domain
+    raises ConfigError naming its index, sweep.grid[i].
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(
             f"sweep.parameter: expected one of {SWEEP_PARAMETERS}, got {parameter!r}"
         )
+    if parameter == "q" and config.protocol.kind not in PROTOCOL_TABLE:
+        raise ConfigError("sweep.parameter: q sweeps need a non-cv protocol")
     if len(grid) == 0:
         raise ConfigError("sweep.grid: empty grid")
-    base = ScenarioConfig(
-        body=config.body,
-        emitter=config.emitter,
-        receiver=config.receiver,
-        source=config.source,
-        protocol=config.protocol,
-        monte_carlo=None,
-        output=None,
-    )
+    base = replace(config, monte_carlo=None, output=None)
     results = []
-    for value in grid:
-        if parameter == "q":
-            results.append(_result_from_q(base, float(value)))
-            continue
-        if parameter == "width_hz":
-            source = GaussianPacket(peak_hz=base.source.peak_hz, width_hz=float(value))
-            point = ScenarioConfig(**{**_as_kwargs(base), "source": source})
-        elif parameter == "peak_hz":
-            source = GaussianPacket(peak_hz=float(value), width_hz=base.source.width_hz)
-            point = ScenarioConfig(**{**_as_kwargs(base), "source": source})
-        else:  # receiver_radius_m
-            receiver = Observer(radius=float(value), motion=base.receiver.motion)
-            point = ScenarioConfig(**{**_as_kwargs(base), "receiver": receiver})
-        results.append(run_scenario(point))
+    for index, value in enumerate(grid):
+        try:
+            results.append(_sweep_point(base, parameter, float(value)))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.grid[{index}]: {exc}") from None
     return results
-
-
-def _as_kwargs(config: ScenarioConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(ScenarioConfig)}
 
 
 # ---------------------------------------------------------------------------
@@ -668,25 +668,3 @@ def render_csv(rows: list[dict], columns: list[str] | None = None, tags: dict | 
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
-
-def _fmt(value, precision: int) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return f"{value:.{precision}g}"
-    return str(value)
-
-
-def render_text(rows: list[dict], precision: int = 12) -> str:
-    """Aligned text table; floats shown to the given significant digits."""
-    if not rows:
-        return "(no rows)\n"
-    columns = list(rows[0].keys())
-    table = [[_fmt(row.get(c), precision) for c in columns] for row in rows]
-    widths = [max(len(c), *(len(line[i]) for line in table)) for i, c in enumerate(columns)]
-    out = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
-    for line in table:
-        out.append("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
-    return "\n".join(out) + "\n"

@@ -110,6 +110,12 @@ class TabulatedPacket:
 
 WavePacket = GaussianPacket | TabulatedPacket
 
+# Named Gaussian sources in config form (GaussianPacket field names).
+SOURCE_PRESETS: dict[str, dict] = {
+    "spdc_blue": {"peak_hz": 700e12, "width_hz": 1e6},
+    "rb_vapor": {"peak_hz": 380e12, "width_hz": 5e6},
+}
+
 
 @dataclass(frozen=True)
 class OverlapResult:
@@ -214,7 +220,7 @@ def overlap_quadrature(p1: WavePacket, p2: WavePacket) -> OverlapResult:
         value, err = quad(
             integrand, lo, hi, points=interior, epsabs=1e-13, epsrel=1e-13, limit=200
         )
-        return OverlapResult(delta=value, q=_q_from_delta(value), abserr=err)
+        return OverlapResult(delta=value, q=mismatch_q(value), abserr=err)
 
     return _overlap_tabulated(p1, p2)
 
@@ -239,12 +245,7 @@ def _overlap_tabulated(p1: WavePacket, p2: WavePacket) -> OverlapResult:
     mag = abs(fine)
     if mag > 1.0:  # roundoff or resampling overshoot; clip to the unit disc
         fine = fine / mag * min(mag, 1.0 + 1e-13)
-    return OverlapResult(delta=fine, q=_q_from_delta(fine), abserr=err)
-
-
-def _q_from_delta(delta: complex | float) -> float:
-    mag = abs(delta)
-    return max(0.0, (1.0 - mag) * (1.0 + mag))
+    return OverlapResult(delta=fine, q=mismatch_q(fine), abserr=err)
 
 
 def mismatch_q(delta: complex | float) -> float:

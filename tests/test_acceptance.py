@@ -29,7 +29,7 @@ from gravlink import (
     negativity,
     overlap_gaussian_closed,
     overlap_quadrature,
-    paper_table,
+    reference_table,
     qber_monte_carlo,
     radius_after,
     run_scenario,
@@ -96,7 +96,7 @@ def test_criterion_02_leo_mismatch():
     result, elapsed = _best_of(lambda: run_scenario(config))
     assert abs(result.q - 2.6e-3) / 2.6e-3 <= 0.10
     assert abs(result.delta - 1.45e-10) / 1.45e-10 <= 0.03
-    row = next(r for r in paper_table() if r["quantity"] == "delta ground-to-orbit")
+    row = next(r for r in reference_table() if r["quantity"] == "delta ground-to-orbit")
     assert row["verdict"] == "paper-inconsistent"
     assert elapsed < 1e-3
     print(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 
 import gravlink.cli as cli
 from gravlink import ConvergenceError
-from gravlink.scenario import RESULT_FIELDS
+from gravlink.scenario import RESULT_FIELDS, parse_config, sweep
 
 LEO_CONFIG = {
     "body": "earth",
@@ -23,12 +24,28 @@ LEO_CONFIG = {
 
 
 def run_cli(*args: str):
+    """A fresh `python -m gravlink` process: the entry point itself."""
     return subprocess.run(
         [sys.executable, "-m", "gravlink", *args],
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.fixture()
+def gravlink(capsys):
+    """cli.main in this process, returned like a finished subprocess."""
+
+    def call(*args: str):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(list(args), code, out, err)
+
+    return call
 
 
 def _rows(proc):
@@ -50,8 +67,8 @@ class TestExitCodes:
     def test_unknown_flag(self):
         assert run_cli("redshift", "--receiver", "iss", "--bogus").returncode == 1
 
-    def test_missing_receiver(self):
-        proc = run_cli("redshift")
+    def test_missing_receiver(self, gravlink):
+        proc = gravlink("redshift")
         assert proc.returncode == 1
         assert "--receiver" in proc.stderr
 
@@ -63,13 +80,13 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "source.width_hz" in proc.stderr
 
-    def test_missing_config_file(self, tmp_path):
-        proc = run_cli("run", str(tmp_path / "nope.json"))
+    def test_missing_config_file(self, gravlink, tmp_path):
+        proc = gravlink("run", str(tmp_path / "nope.json"))
         assert proc.returncode == 1
 
-    def test_precision_out_of_range(self):
-        assert run_cli("redshift", "--receiver", "iss", "--precision", "18").returncode == 1
-        assert run_cli("redshift", "--receiver", "iss", "--precision", "0").returncode == 1
+    def test_precision_out_of_range(self, gravlink):
+        assert gravlink("redshift", "--receiver", "iss", "--precision", "18").returncode == 1
+        assert gravlink("redshift", "--receiver", "iss", "--precision", "0").returncode == 1
 
     def test_numerical_failure_maps_to_two(self, monkeypatch, capsys):
         def explode(args):
@@ -84,14 +101,46 @@ class TestExitCodes:
             "quantity": "x", "reference": 1.0, "computed": 2.0,
             "deviation": 1.0, "tolerance": 0.1, "verdict": "fail", "note": "",
         }
-        monkeypatch.setattr(cli, "paper_table", lambda: [row])
+        monkeypatch.setattr(cli, "reference_table", lambda: [row])
         assert cli.main(["paper-table"]) == 3
         capsys.readouterr()
 
 
+class TestValidation:
+    """Flags and configs share one validator: out-of-domain inputs exit 1
+    with a one-line message that names the field."""
+
+    @staticmethod
+    def _rejected(proc, field):
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert field in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_nan_protocol_parameter(self, gravlink, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(dict(LEO_CONFIG, protocol={"kind": "coherent", "alpha": math.nan})))
+        self._rejected(gravlink("run", str(path)), "protocol.alpha")
+
+    def test_receiver_flags_below_the_surface(self, gravlink):
+        self._rejected(gravlink("redshift", "--receiver-radius-m", "1"), "receiver.radius_m")
+
+    def test_source_flags_carry_field_paths(self, gravlink):
+        self._rejected(gravlink("overlap", "--receiver", "iss", "--peak-hz", "1e14"), "source.width_hz")
+
+    def test_sweep_below_the_surface(self, gravlink, leo_config):
+        proc = gravlink("sweep", str(leo_config), "--parameter", "receiver_radius_m",
+                        "--grid", "lin:1:2:2")
+        self._rejected(proc, "sweep.grid[0]: receiver.radius_m")
+
+    def test_sweep_out_of_the_narrowband_regime(self, gravlink, leo_config):
+        proc = gravlink("sweep", str(leo_config), "--parameter", "width_hz", "--grid", "1e6,1e13")
+        self._rejected(proc, "sweep.grid[1]")
+
+
 class TestRedshift:
-    def test_json_row(self):
-        rows = _rows(run_cli("redshift", "--receiver", "iss", "--precision", "17"))
+    def test_json_row(self, gravlink):
+        rows = _rows(gravlink("redshift", "--receiver", "iss", "--precision", "17"))
         row = rows[0]
         assert row["delta"] == pytest.approx(1.4318478306647888e-10, rel=1e-12)
         assert row["sign"] == "down"
@@ -99,14 +148,14 @@ class TestRedshift:
         assert row["chi"] == pytest.approx(1.0 / row["redshift_ratio"], rel=1e-15)
         assert row["travel_time_s"] == pytest.approx(0.0013342563825941988, rel=1e-12)
 
-    def test_far_field_travel_time_is_null(self):
-        rows = _rows(run_cli("redshift", "--receiver", "far_field"))
+    def test_far_field_travel_time_is_null(self, gravlink):
+        rows = _rows(gravlink("redshift", "--receiver", "far_field"))
         assert rows[0]["travel_time_s"] is None
         assert rows[0]["sign"] == "up"
 
-    def test_explicit_geometry(self):
+    def test_explicit_geometry(self, gravlink):
         rows = _rows(
-            run_cli(
+            gravlink(
                 "redshift",
                 "--mass-kg", "0", "--body-radius-m", "6371e3",
                 "--emitter-radius-m", "6371e3",
@@ -116,23 +165,23 @@ class TestRedshift:
         assert rows[0]["delta"] == 0.0
         assert rows[0]["redshift_ratio"] == 1.0
 
-    def test_preset_conflicts_are_rejected(self):
-        proc = run_cli("redshift", "--receiver", "iss", "--body", "earth", "--mass-kg", "1")
+    def test_preset_conflicts_are_rejected(self, gravlink):
+        proc = gravlink("redshift", "--receiver", "iss", "--body", "earth", "--mass-kg", "1")
         assert proc.returncode == 1
 
 
 class TestOverlap:
-    def test_delta_bypass(self):
+    def test_delta_bypass(self, gravlink):
         rows = _rows(
-            run_cli("overlap", "--delta", "3.4805390951444395e-10", "--sign", "up",
+            gravlink("overlap", "--delta", "3.4805390951444395e-10", "--sign", "up",
                     "--precision", "17")
         )
         assert rows[0]["Delta"] == pytest.approx(0.9926075412928603, rel=1e-13)
         assert rows[0]["q"] == pytest.approx(0.014730268968542607, rel=1e-13)
 
-    def test_quadrature_cross_check(self):
+    def test_quadrature_cross_check(self, gravlink):
         rows = _rows(
-            run_cli("overlap", "--receiver", "iss", "--quadrature", "--precision", "17")
+            gravlink("overlap", "--receiver", "iss", "--quadrature", "--precision", "17")
         )
         row = rows[0]
         assert row["quadrature_abserr"] < 1e-13
@@ -140,14 +189,14 @@ class TestOverlap:
         # 1 -+ delta, so they may part at the 1e-9 level, never more
         assert abs(row["Delta_quadrature"] - row["Delta"]) < 5e-9
 
-    def test_geometry_and_delta_conflict(self):
-        proc = run_cli("overlap", "--receiver", "iss", "--delta", "1e-10")
+    def test_geometry_and_delta_conflict(self, gravlink):
+        proc = gravlink("overlap", "--receiver", "iss", "--delta", "1e-10")
         assert proc.returncode == 1
 
 
 class TestEntangle:
-    def test_dual_route_agreement(self):
-        rows = _rows(run_cli("entangle", "--q", "0.0147", "--precision", "17"))
+    def test_dual_route_agreement(self, gravlink):
+        rows = _rows(gravlink("entangle", "--q", "0.0147", "--precision", "17"))
         row = rows[0]
         assert row["sim_vs_closed_max_abs"] < 1e-12
         assert row["p_d1"] == pytest.approx(0.25, abs=1e-12)
@@ -156,48 +205,57 @@ class TestEntangle:
         assert row["p_share"] + row["p_diff"] == pytest.approx(1.0, abs=1e-15)
         assert row["qber"] == pytest.approx(0.00735, rel=1e-3)
 
-    def test_geometry_route(self):
-        rows = _rows(run_cli("entangle", "--receiver", "iss", "--precision", "17"))
+    def test_figures_match_the_q_sweep(self, gravlink):
+        q = 0.0147
+        proc = gravlink("entangle", "--q", repr(q), "--precision", "17")
+        doc = json.loads(proc.stdout)
+        swept = sweep(parse_config(LEO_CONFIG), "q", [q])[0]
+        for name in ("fidelity", "negativity", "qber"):
+            assert doc["rows"][0][name] == getattr(swept, name)
+            assert doc["tags"][name] == swept.tags[name]
+
+    def test_geometry_route(self, gravlink):
+        rows = _rows(gravlink("entangle", "--receiver", "iss", "--precision", "17"))
         assert rows[0]["q"] == pytest.approx(0.0025083294283674017, rel=1e-13)
 
 
 class TestQber:
-    def test_closed_only(self):
-        rows = _rows(run_cli("qber", "--q", "0.1"))
+    def test_closed_only(self, gravlink):
+        rows = _rows(gravlink("qber", "--q", "0.1"))
         assert rows[0] == {"q": 0.1, "qber": 0.05}
 
-    def test_with_monte_carlo(self):
-        rows = _rows(run_cli("qber", "--q", "0.1", "--trials", "50000", "--seed", "7"))
+    def test_with_monte_carlo(self, gravlink):
+        rows = _rows(gravlink("qber", "--q", "0.1", "--trials", "50000", "--seed", "7"))
         row = rows[0]
         assert row["trials"] == 50_000 and row["seed"] == 7
         assert abs(row["qber_mc"] - 0.05) < 0.003
-        again = _rows(run_cli("qber", "--q", "0.1", "--trials", "50000", "--seed", "7"))
+        again = _rows(gravlink("qber", "--q", "0.1", "--trials", "50000", "--seed", "7"))
         assert again[0]["qber_mc"] == row["qber_mc"]
 
 
 class TestCvHomodyne:
-    def test_three_scenarios_agree(self):
-        rows = _rows(run_cli("cv-homodyne", "--alpha", "0.5", "--beta", "90"))
+    def test_three_scenarios_agree(self, gravlink):
+        rows = _rows(gravlink("cv-homodyne", "--alpha", "0.5", "--beta", "90"))
         assert [r["scenario"] for r in rows] == ["flat", "leo", "far_field"]
         assert all(r["pass"] for r in rows)
         assert {(r["x"], r["v"]) for r in rows} == {(90.0, 16200.0)}
 
-    def test_mismatched_lo_demo(self):
+    def test_mismatched_lo_demo(self, gravlink):
         rows = _rows(
-            run_cli("cv-homodyne", "--alpha", "0.5", "--beta", "90",
+            gravlink("cv-homodyne", "--alpha", "0.5", "--beta", "90",
                     "--lo-peak-hz", "700.00001e12", "--lo-width-hz", "1e6")
         )
         assert all(r["x"] is None and not r["pass"] for r in rows)
 
-    def test_half_specified_lo_is_rejected(self):
-        proc = run_cli("cv-homodyne", "--alpha", "0.5", "--beta", "90",
+    def test_half_specified_lo_is_rejected(self, gravlink):
+        proc = gravlink("cv-homodyne", "--alpha", "0.5", "--beta", "90",
                        "--lo-peak-hz", "700.00001e12")
         assert proc.returncode == 1
 
 
 class TestRunAndSweep:
-    def test_run_csv_header_is_the_result_schema(self, leo_config):
-        proc = run_cli("run", str(leo_config), "--format", "csv")
+    def test_run_csv_header_is_the_result_schema(self, gravlink, leo_config):
+        proc = gravlink("run", str(leo_config), "--format", "csv")
         assert proc.returncode == 0
         data = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
         assert data[0] == ",".join(RESULT_FIELDS)
@@ -206,8 +264,8 @@ class TestRunAndSweep:
             0.0025083294283674017, rel=1e-13
         )
 
-    def test_run_reports_monte_carlo_extra_as_comment(self, leo_config):
-        proc = run_cli("run", str(leo_config), "--format", "csv")
+    def test_run_reports_monte_carlo_extra_as_comment(self, gravlink, leo_config):
+        proc = gravlink("run", str(leo_config), "--format", "csv")
         assert any(ln.startswith("# extra qber_mc") for ln in proc.stdout.splitlines())
 
     def test_out_file_is_byte_identical_across_runs(self, leo_config, tmp_path):
@@ -219,16 +277,16 @@ class TestRunAndSweep:
         assert doc["q"] == pytest.approx(0.0025083294283674017, rel=1e-6)
         assert "qber_mc" in doc["extras"]
 
-    def test_output_path_from_config(self, tmp_path):
+    def test_output_path_from_config(self, gravlink, tmp_path):
         target = tmp_path / "from_config.json"
         cfg = dict(LEO_CONFIG, output={"format": "json", "path": str(target)})
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert run_cli("run", str(path)).returncode == 0
+        assert gravlink("run", str(path)).returncode == 0
         assert target.exists()
 
-    def test_sweep_log_grid(self, leo_config):
-        proc = run_cli(
+    def test_sweep_log_grid(self, gravlink, leo_config):
+        proc = gravlink(
             "sweep", str(leo_config), "--parameter", "width_hz",
             "--grid", "log:1e6:1e12:4", "--format", "csv",
         )
@@ -240,8 +298,8 @@ class TestRunAndSweep:
         assert len(qs) == 4
         assert all(a > b for a, b in zip(qs, qs[1:]))
 
-    def test_sweep_comma_grid(self, leo_config):
-        proc = run_cli(
+    def test_sweep_comma_grid(self, gravlink, leo_config):
+        proc = gravlink(
             "sweep", str(leo_config), "--parameter", "q", "--grid", "0,0.5,1",
         )
         assert proc.returncode == 0
@@ -250,8 +308,8 @@ class TestRunAndSweep:
             [0.5, 0.353553390593, 0.0]
         )
 
-    def test_sweep_bad_grid(self, leo_config):
-        proc = run_cli("sweep", str(leo_config), "--parameter", "q", "--grid", "log:1:2")
+    def test_sweep_bad_grid(self, gravlink, leo_config):
+        proc = gravlink("sweep", str(leo_config), "--parameter", "q", "--grid", "log:1:2")
         assert proc.returncode == 1
 
 
@@ -264,7 +322,7 @@ class TestPaperTable:
         verdicts = {r["verdict"] for r in rows}
         assert verdicts == {"ok", "paper-inconsistent"}
 
-    def test_csv_carries_the_flag_literally(self):
-        proc = run_cli("paper-table", "--format", "csv")
+    def test_csv_carries_the_flag_literally(self, gravlink):
+        proc = gravlink("paper-table", "--format", "csv")
         assert proc.returncode == 0
         assert "paper-inconsistent" in proc.stdout

@@ -17,7 +17,6 @@ from gravlink import (
     coordinate_travel_time,
     load_config,
     overlap_gaussian_closed,
-    paper_table,
     redshift_total,
     reference_table,
     run_scenario,
@@ -95,6 +94,18 @@ class TestParsing:
             (lambda c: c.update(emitter={"radius_m": 6.371e6, "motion": "orbit"}),
              "emitter.motion: orbiting"),
             (lambda c: c.update(output={"format": "yaml"}), "output.format"),
+            (lambda c: c.update(protocol={"kind": "coherent", "alpha": math.nan}),
+             "protocol.alpha: expected a number"),
+            (lambda c: c.update(protocol={"kind": "tmss", "s": math.inf}),
+             "protocol.s: must be finite"),
+            (lambda c: c.update(protocol={"kind": "cv_homodyne", "alpha": 0.5, "beta": -math.inf}),
+             "protocol.beta: must be finite"),
+            (lambda c: c.update(source={"peak_hz": math.inf, "width_hz": 1e6}),
+             "source.peak_hz: must be finite"),
+            (lambda c: c.update(body={"mass_kg": math.inf, "radius_m": 6.371e6}),
+             "body.mass_kg: must be finite"),
+            (lambda c: c.update(receiver={"radius_m": 6.0e6}), "receiver.radius_m: below the body surface"),
+            (lambda c: c.update(emitter={"radius_m": 1.0}), "emitter.radius_m: below the body surface"),
         ],
     )
     def test_rejects_bad_configs_with_field_paths(self, mutate, message):
@@ -102,6 +113,13 @@ class TestParsing:
         mutate(cfg)
         with pytest.raises(ConfigError, match=message):
             parse_config(cfg)
+
+    def test_stations_on_the_surface_and_at_infinity_pass(self):
+        cfg = base_config()
+        cfg["receiver"] = {"radius_m": 6_371_000.0}
+        assert parse_config(cfg).receiver.radius == 6_371_000.0
+        cfg["receiver"] = {"radius_m": math.inf}
+        assert parse_config(cfg).receiver.radius == math.inf
 
     def test_round_trips_through_dict(self):
         cfg = base_config()
@@ -259,10 +277,46 @@ class TestSweep:
         with pytest.raises(ConfigError, match="non-cv"):
             sweep(parse_config(cfg), "q", [0.1])
 
+    @pytest.mark.parametrize(
+        "parameter, grid, message",
+        [
+            ("receiver_radius_m", [7e6, 1.0, 2.0], r"sweep\.grid\[1\]: receiver\.radius_m"),
+            ("q", [0.5, 1.5], r"sweep\.grid\[1\]: q must lie in \[0, 1\]"),
+            ("width_hz", [1e6, 1e13], r"sweep\.grid\[1\]: source: peak_hz/width_hz"),
+            ("peak_hz", [5e7, 700e12], r"sweep\.grid\[0\]: source: peak_hz/width_hz"),
+        ],
+        ids=["receiver_radius_m", "q", "width_hz", "peak_hz"],
+    )
+    def test_out_of_domain_points_name_their_index(self, parameter, grid, message):
+        with pytest.raises(ConfigError, match=message):
+            sweep(parse_config(base_config()), parameter, grid)
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            {"kind": "single_photon"},
+            {"kind": "coherent", "alpha": 2.0},
+            {"kind": "tmss", "s": 1.5},
+            {"kind": "entangle_qkd"},
+        ],
+    )
+    def test_q_sweep_matches_run(self, protocol):
+        cfg = base_config()
+        cfg["protocol"] = protocol
+        sc = parse_config(cfg)
+        res = run_scenario(sc)
+        row = sweep(sc, "q", [res.q])[0]
+        for name in ("fidelity", "negativity", "qber"):
+            assert row.tags.get(name) == res.tags.get(name)
+            if getattr(res, name) is None:
+                assert getattr(row, name) is None
+            else:
+                assert getattr(row, name) == pytest.approx(getattr(res, name), rel=1e-15)
+
 
 class TestReferenceTable:
     def test_shape_and_verdicts(self):
-        rows = paper_table()
+        rows = reference_table()
         assert len(rows) == 8
         for row in rows:
             assert set(row) == {
@@ -272,14 +326,14 @@ class TestReferenceTable:
             assert row["verdict"] in {"ok", "paper-inconsistent"}
 
     def test_far_field_shift_row(self):
-        row = next(r for r in paper_table() if r["quantity"] == "delta far-field")
+        row = next(r for r in reference_table() if r["quantity"] == "delta far-field")
         assert row["reference"] == 3.5e-10
         assert row["deviation"] < 0.03
         assert row["verdict"] == "ok"
 
     def test_ground_to_orbit_shift_row_flags_the_reference(self):
         row = next(
-            r for r in paper_table() if r["quantity"] == "delta ground-to-orbit"
+            r for r in reference_table() if r["quantity"] == "delta ground-to-orbit"
         )
         assert row["reference"] == 1.45e-11
         assert row["computed"] == pytest.approx(1.4318478306647888e-10, rel=1e-12)
@@ -287,14 +341,11 @@ class TestReferenceTable:
         assert "1.45e-10" in row["note"]
 
     def test_mismatch_rows_stay_within_printed_tolerances(self):
-        by_name = {r["quantity"]: r for r in paper_table()}
+        by_name = {r["quantity"]: r for r in reference_table()}
         assert by_name["q ground-to-orbit (spdc_blue)"]["verdict"] == "ok"
         assert by_name["q far-field (spdc_blue)"]["verdict"] == "ok"
         assert by_name["q far-field (rb_vapor)"]["verdict"] == "paper-inconsistent"
         assert by_name["QBER far-field (%)"]["deviation"] < 0.1 / 0.75
-
-    def test_alias(self):
-        assert reference_table is paper_table
 
 
 class TestRendering:
