@@ -28,8 +28,11 @@ from .scenario import (
     ConfigError,
     Protocol,
     ScenarioResult,
+    _check_q,
     _parse_body,
     _parse_link,
+    _parse_monte_carlo,
+    _parse_protocol,
     _parse_source,
     _parse_station,
     load_config,
@@ -243,6 +246,8 @@ def _cmd_overlap(args) -> int:
     if args.delta is not None:
         if _receiver_doc(args):
             raise ConfigError("overlap: --delta replaces the geometry; drop the receiver flags")
+        if not (0.0 <= args.delta < 1.0):
+            raise ConfigError(f"delta: must lie in [0, 1), got {args.delta}")
         shift = ShiftParameter(delta=args.delta, sign=Sign(args.sign))
     else:
         shift = shift_parameter(*_link(args, " (or --delta)"))
@@ -280,9 +285,7 @@ def _cmd_overlap(args) -> int:
 
 def _q_from_args(args) -> float:
     if args.q is not None:
-        if not 0.0 <= args.q <= 1.0:
-            raise ConfigError(f"q: must lie in [0, 1], got {args.q}")
-        return args.q
+        return _check_q(args.q)
     shift = shift_parameter(*_link(args, " (or --q)"))
     return overlap_gaussian_closed(_source(args), shift).q
 
@@ -332,14 +335,14 @@ def _cmd_entangle(args) -> int:
 
 
 def _cmd_qber(args) -> int:
-    if not 0.0 <= args.q <= 1.0:
-        raise ConfigError(f"q: must lie in [0, 1], got {args.q}")
-    row = {"q": args.q, "qber": entangleswap.qber_closed(args.q)}
+    q = _check_q(args.q)
+    row = {"q": q, "qber": entangleswap.qber_closed(q)}
     tags = {"q": "mode mismatch weight", "qber": "QBER = q/2"}
     if args.trials is not None:
-        row["qber_mc"] = entangleswap.qber_monte_carlo(args.q, args.trials, args.seed)
-        row["trials"] = args.trials
-        row["seed"] = args.seed
+        spec = _parse_monte_carlo({"trials": args.trials, "seed": args.seed})
+        row["qber_mc"] = entangleswap.qber_monte_carlo(q, spec.trials, spec.seed)
+        row["trials"] = spec.trials
+        row["seed"] = spec.seed
         tags["qber_mc"] = "empirical fraction of disagreeing sifted bits"
         tags["trials"] = "Monte Carlo sample count"
         tags["seed"] = "generator seed (runs are reproducible)"
@@ -351,7 +354,8 @@ def _cmd_cv_homodyne(args) -> int:
     packet = _source(args)
     lo_doc = _flag_doc(None, "lo", peak_hz=args.lo_peak_hz, width_hz=args.lo_width_hz)
     lo_packet = _parse_source(lo_doc, "lo") if lo_doc else None
-    prep = HomodynePrep(alpha=args.alpha, beta=args.beta)
+    proto = _parse_protocol({"kind": "cv_homodyne", "alpha": args.alpha, "beta": args.beta})
+    prep = HomodynePrep(alpha=proto.alpha, beta=proto.beta)
     earth = _parse_body("earth")
     ground, iss, far_field = (_parse_station(name, name) for name in ("ground", "iss", "far_field"))
     scenarios = [

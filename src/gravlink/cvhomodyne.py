@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .fidelity import _square
 from .spacetime import Body, Observer, redshift_total
 from .wavepacket import SOURCE_PRESETS, GaussianPacket, WavePacket, overlap_quadrature, propagate_packet
 
@@ -56,7 +57,8 @@ def homodyne_expectation(prep: HomodynePrep) -> HomodyneResult:
 
     The variance keeps its exact value 2(|beta|^2 + |alpha|^2) unless
     the LO dominates (|beta| >= 10 |alpha|), where the usual 2 beta^2
-    shot-noise form applies.
+    shot-noise form applies.  Values beyond the float range come back
+    infinite.
     """
     alpha = complex(prep.alpha)
     beta = complex(prep.beta)
@@ -64,8 +66,8 @@ def homodyne_expectation(prep: HomodynePrep) -> HomodyneResult:
     x = 2.0 * (alpha * beta.conjugate()).real
     if beta == 0.0:
         x = 0.0
-    b2 = abs(beta) ** 2
-    a2 = abs(alpha) ** 2
+    b2 = _square(abs(beta))
+    a2 = _square(abs(alpha))
     exact_v = 2.0 * (b2 + a2)
     v = 2.0 * b2 if abs(beta) >= _LO_DOMINANCE * abs(alpha) else exact_v
     return HomodyneResult(x=x, v=v, exact_v=exact_v)
@@ -89,39 +91,26 @@ def curvature_invariance_report(
     """
     if packet is None:
         packet = GaussianPacket(**SOURCE_PRESETS["spdc_blue"])
+    if lo_packet is None:
+        lo_packet = packet
     rows: list[dict] = []
     reference: tuple[float, float] | None = None
     for idx, (body, emitter, receiver) in enumerate(scenarios):
-        ratio = redshift_total(body, emitter, receiver)
-        chi = 1.0 / ratio
-        received_signal = propagate_packet(packet, chi)
-        received_lo = propagate_packet(lo_packet if lo_packet is not None else packet, chi)
-        overlap = overlap_quadrature(received_signal, received_lo)
-        matched = abs(abs(overlap.delta) - 1.0) <= 1e-12
-        if matched:
+        chi = 1.0 / redshift_total(body, emitter, receiver)
+        overlap = _received_overlap(packet, lo_packet, chi)
+        x = v = None
+        ok = False
+        if abs(overlap - 1.0) <= 1e-12:
             result = homodyne_expectation(prep)
+            x, v = result.x, result.v
             if reference is None:
-                reference = (result.x, result.v)
-            ok = (result.x, result.v) == reference
-            rows.append(
-                {
-                    "scenario": idx,
-                    "chi": chi,
-                    "overlap": float(abs(overlap.delta)),
-                    "x": result.x,
-                    "v": result.v,
-                    "pass": ok,
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "scenario": idx,
-                    "chi": chi,
-                    "overlap": float(abs(overlap.delta)),
-                    "x": None,
-                    "v": None,
-                    "pass": False,
-                }
-            )
+                reference = (x, v)
+            ok = (x, v) == reference
+        rows.append({"scenario": idx, "chi": chi, "overlap": overlap, "x": x, "v": v, "pass": ok})
     return rows
+
+
+def _received_overlap(signal: WavePacket, lo: WavePacket, chi: float) -> float:
+    """|Delta| between signal and LO after both are rescaled by chi."""
+    overlap = overlap_quadrature(propagate_packet(signal, chi), propagate_packet(lo, chi))
+    return float(abs(overlap.delta))

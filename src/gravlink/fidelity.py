@@ -15,6 +15,14 @@ __all__ = ["single_photon_fidelity", "coherent_fidelity", "tmss_fidelity"]
 _LOG_SPACE_S = 20.0
 
 
+def _square(x: float) -> float:
+    """x**2, or inf where the square overflows a float."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _check_delta(delta: complex | float) -> complex:
     d = complex(delta)
     if abs(d) > 1.0 + 1e-9:
@@ -32,10 +40,14 @@ def coherent_fidelity(delta: complex | float, alpha: complex | float) -> float:
     """F = exp(-2 |alpha|^2 (1 - Re Delta)) for a coherent state |alpha>.
 
     Vacuum (alpha = 0) is shape-blind and always gives 1; large
-    amplitudes amplify any mode mismatch exponentially.
+    amplitudes amplify any mode mismatch exponentially.  F is exactly 1
+    at Re Delta = 1 for any finite alpha; where |alpha|^2 overflows a
+    float, F underflows to 0 for every Re Delta < 1.
     """
     d = _check_delta(delta)
-    a2 = abs(complex(alpha)) ** 2
+    if d.real == 1.0:
+        return 1.0
+    a2 = _square(abs(complex(alpha)))
     return math.exp(-2.0 * a2 * (1.0 - d.real))
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import entangleswap, fidelity
-from .cvhomodyne import HomodynePrep, homodyne_expectation
+from .cvhomodyne import HomodynePrep, _received_overlap, homodyne_expectation
 from .spacetime import (
     Body,
     Motion,
@@ -29,8 +29,6 @@ from .wavepacket import (
     SOURCE_PRESETS,
     GaussianPacket,
     overlap_gaussian_closed,
-    overlap_quadrature,
-    propagate_packet,
 )
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "SOURCE_PRESETS",
     "load_config",
     "parse_config",
-    "config_to_dict",
     "run_scenario",
     "reference_table",
     "sweep",
@@ -154,15 +151,19 @@ def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)}")
 
 
-def _number(doc: dict, key: str, path: str, required: bool = True) -> float | None:
+def _number(doc: dict, key: str, path: str) -> float:
     if key not in doc:
-        if required:
-            raise ConfigError(f"{path}.{key}: missing")
-        return None
+        raise ConfigError(f"{path}.{key}: missing")
     val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or math.isnan(val):
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
-    return float(val)
+    try:
+        num = float(val)
+    except OverflowError:
+        raise ConfigError(f"{path}.{key}: integer too large for a float") from None
+    if math.isnan(num):
+        raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
+    return num
 
 
 def _positive(doc: dict, key: str, path: str) -> float:
@@ -248,16 +249,21 @@ def _parse_protocol(doc, path: str = "protocol") -> Protocol:
     return Protocol(kind=kind, **values)
 
 
+def _count(doc: dict, key: str, path: str, minimum: int) -> int:
+    val = _number(doc, key, path)
+    if not (val.is_integer() and val >= minimum):
+        raise ConfigError(f"{path}.{key}: must be an integer >= {minimum}, got {doc[key]!r}")
+    # an int above 2**53 keeps its exact value, not its float rounding
+    return doc[key] if isinstance(doc[key], int) else int(val)
+
+
 def _parse_monte_carlo(doc, path: str = "monte_carlo") -> MonteCarloSpec:
     doc = _require_mapping(doc, path)
     _reject_unknown(doc, {"trials", "seed"}, path)
-    trials = _number(doc, "trials", path)
-    seed = _number(doc, "seed", path)
-    if trials != int(trials) or int(trials) < 10_000:
-        raise ConfigError(f"{path}.trials: must be an integer >= 10000, got {doc['trials']!r}")
-    if seed != int(seed):
-        raise ConfigError(f"{path}.seed: must be an integer, got {doc['seed']!r}")
-    return MonteCarloSpec(trials=int(trials), seed=int(seed))
+    return MonteCarloSpec(
+        trials=_count(doc, "trials", path, minimum=10_000),
+        seed=_count(doc, "seed", path, minimum=0),
+    )
 
 
 def _parse_output(doc, path: str = "output") -> OutputSpec:
@@ -324,27 +330,6 @@ def load_config(path) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: not valid JSON ({exc})") from None
     return parse_config(doc)
-
-
-def config_to_dict(config: ScenarioConfig) -> dict:
-    """Inverse of parse_config, suitable for json.dump round trips."""
-    doc: dict = {
-        "body": {"mass_kg": config.body.mass, "radius_m": config.body.radius},
-        "emitter": {"radius_m": config.emitter.radius, "motion": config.emitter.motion.value},
-        "receiver": {"radius_m": config.receiver.radius, "motion": config.receiver.motion.value},
-        "source": {"peak_hz": config.source.peak_hz, "width_hz": config.source.width_hz},
-        "protocol": {"kind": config.protocol.kind},
-    }
-    for name in sorted(_PROTOCOL_PARAMS[config.protocol.kind]):
-        doc["protocol"][name] = getattr(config.protocol, name)
-    if config.monte_carlo is not None:
-        doc["monte_carlo"] = {
-            "trials": config.monte_carlo.trials,
-            "seed": config.monte_carlo.seed,
-        }
-    if config.output is not None:
-        doc["output"] = {"format": config.output.format, "path": config.output.path}
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +401,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     proto = config.protocol
 
     if proto.kind == "cv_homodyne":
-        received_signal = propagate_packet(config.source, chi)
-        received_lo = propagate_packet(config.source, chi)
-        lo_overlap = overlap_quadrature(received_signal, received_lo)
-        values["fidelity"] = float(abs(lo_overlap.delta))
+        values["fidelity"] = _received_overlap(config.source, config.source, chi)
         tags["fidelity"] = "received signal/LO mode overlap (1: homodyne unaffected)"
         prep = HomodynePrep(alpha=proto.alpha, beta=proto.beta)
         hom = homodyne_expectation(prep)
@@ -464,36 +446,43 @@ def _row(quantity, reference, computed, tolerance, conflicted=False, note=""):
     }
 
 
+def _earth_link(receiver: str, source: str) -> ScenarioResult:
+    """run_scenario on an entanglement-swap link from the ground on Earth."""
+    doc = {
+        "body": "earth",
+        "emitter": "ground",
+        "receiver": receiver,
+        "source": source,
+        "protocol": "entangle_qkd",
+    }
+    return run_scenario(parse_config(doc))
+
+
 def reference_table() -> list[dict]:
     """Recompute the published Earth-link estimates and judge each one.
 
-    Every row carries the published value, the value this model
-    computes, their relative deviation and a verdict.  Rows where the
-    published numbers contradict each other get the verdict
-    "paper-inconsistent" instead of "fail", and the note shows both
-    candidate values; the computed value is never tuned to match a
-    printed number.
+    The computed values are fields of run_scenario results on three
+    preset links: ground to iss and to far_field with spdc_blue, and
+    ground to far_field with rb_vapor.  Every row carries the published
+    value, the value this model computes, their relative deviation and
+    a verdict.  Rows where the published numbers contradict each other
+    get the verdict "paper-inconsistent" instead of "fail", and the
+    note shows both candidate values; the computed value is never tuned
+    to match a printed number.
     """
-    earth = _parse_body("earth")
-    ground, iss, far_field = (_parse_station(name, name) for name in ("ground", "iss", "far_field"))
-    spdc = _parse_source("spdc_blue")
-    rb = _parse_source("rb_vapor")
-
-    shift_leo = shift_parameter(earth, ground, iss)
-    shift_far = shift_parameter(earth, ground, far_field)
-    leo = overlap_gaussian_closed(spdc, shift_leo)
-    far = overlap_gaussian_closed(spdc, shift_far)
-    far_rb = overlap_gaussian_closed(rb, shift_far)
+    leo = _earth_link("iss", "spdc_blue")
+    far = _earth_link("far_field", "spdc_blue")
+    far_rb = _earth_link("far_field", "rb_vapor")
 
     leo_candidate = 1.45e-10
-    leo_agrees = abs(shift_leo.delta - leo_candidate) / leo_candidate
+    leo_agrees = abs(leo.delta - leo_candidate) / leo_candidate
 
     rows = [
-        _row("delta far-field", 3.5e-10, shift_far.delta, 0.03),
+        _row("delta far-field", 3.5e-10, far.delta, 0.03),
         _row(
             "delta ground-to-orbit",
             1.45e-11,
-            shift_leo.delta,
+            leo.delta,
             0.03,
             conflicted=True,
             note=(
@@ -503,7 +492,7 @@ def reference_table() -> list[dict]:
                 f" {100.0 * leo_agrees:.2f}%"
             ),
         ),
-        _row("1 - Delta ground-to-orbit (spdc_blue)", 1.3e-3, 1.0 - float(leo.delta), 0.10),
+        _row("1 - Delta ground-to-orbit (spdc_blue)", 1.3e-3, 1.0 - leo.Delta, 0.10),
         _row("q ground-to-orbit (spdc_blue)", 2.6e-3, leo.q, 0.10),
         _row("q far-field (spdc_blue)", 1.5e-2, far.q, 0.10),
         _row(
@@ -521,14 +510,14 @@ def reference_table() -> list[dict]:
         _row(
             "negativity correction far-field (%)",
             0.7,
-            100.0 * (1.0 - 2.0 * entangleswap.negativity_closed(far.q)),
+            100.0 * (1.0 - 2.0 * far.negativity),
             0.1 / 0.7,
             note="tolerance is 0.1 percentage point, expressed relative to 0.7",
         ),
         _row(
             "QBER far-field (%)",
             0.75,
-            100.0 * entangleswap.qber_closed(far.q),
+            100.0 * far.qber,
             0.1 / 0.75,
             note="tolerance is 0.1 percentage point, expressed relative to 0.75",
         ),
@@ -542,9 +531,15 @@ def reference_table() -> list[dict]:
 SWEEP_PARAMETERS = ("width_hz", "peak_hz", "receiver_radius_m", "q")
 
 
-def _result_from_q(config: ScenarioConfig, q: float) -> ScenarioResult:
+def _check_q(q: float) -> float:
+    """q, the mode mismatch weight, checked against its domain [0, 1]."""
     if not (0.0 <= q <= 1.0):
         raise ConfigError(f"q must lie in [0, 1], got {q}")
+    return q
+
+
+def _result_from_q(config: ScenarioConfig, q: float) -> ScenarioResult:
+    _check_q(q)
     delta_mode = math.sqrt(1.0 - q)
     values: dict[str, float | None] = {name: None for name in RESULT_FIELDS}
     values["Delta"] = delta_mode
@@ -639,7 +634,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def render_csv(rows: list[dict], columns: list[str] | None = None, tags: dict | None = None) -> str:
+def render_csv(rows: list[dict], columns: list[str], tags: dict | None = None) -> str:
     """CSV with shortest round-trip floats.
 
     The header row carries exactly the given column names; formula tags,
@@ -648,8 +643,6 @@ def render_csv(rows: list[dict], columns: list[str] | None = None, tags: dict | 
     """
     if not rows:
         return ""
-    if columns is None:
-        columns = list(rows[0].keys())
     lines = []
     if tags:
         for key in columns:

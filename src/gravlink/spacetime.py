@@ -27,9 +27,6 @@ __all__ = [
     "HorizonError",
     "PhotonSphereError",
     "ConvergenceError",
-    "metric_factor",
-    "proper_time_ratio",
-    "redshift_static",
     "redshift_total",
     "shift_parameter",
     "tortoise",
@@ -137,16 +134,6 @@ def _check_above_horizon(body: Body, r: float) -> None:
         raise HorizonError(f"r = {r} m is at or below the horizon r_s = {rs} m")
 
 
-def metric_factor(body: Body, r: float) -> float:
-    """Schwarzschild metric factor f(r) = 1 - r_s/r.
-
-    Strictly inside (0, 1] for r above the horizon; equals 1 exactly for
-    a massless body or r = inf.
-    """
-    _check_above_horizon(body, r)
-    return 1.0 - body.schwarzschild_radius / r
-
-
 def _log_rate_factor(body: Body, obs: Observer) -> float:
     """log of the clock-rate factor: 1 - 2M/r static, 1 - 3M/r on orbit."""
     _check_above_horizon(body, obs.radius)
@@ -162,29 +149,11 @@ def _log_rate_factor(body: Body, obs: Observer) -> float:
     return math.log1p(-2.0 * mu / obs.radius)
 
 
-def proper_time_ratio(body: Body, r_a: float, r_b: float) -> float:
-    """dtau_B/dtau_A = sqrt(f(r_B)/f(r_A)) for two static stations."""
-    _check_above_horizon(body, r_a)
-    _check_above_horizon(body, r_b)
-    rs = body.schwarzschild_radius
-    return math.exp(0.5 * (math.log1p(-rs / r_b) - math.log1p(-rs / r_a)))
-
-
-def redshift_static(body: Body, r_a: float, r_b: float) -> float:
-    """Frequency ratio Omega_B/Omega_A = sqrt(f(r_A)/f(r_B)), static stations.
-
-    Below one when r_B > r_A (light climbing out is redshifted).  Exact
-    reciprocal of proper_time_ratio.
-    """
-    _check_above_horizon(body, r_a)
-    _check_above_horizon(body, r_b)
-    rs = body.schwarzschild_radius
-    return math.exp(0.5 * (math.log1p(-rs / r_a) - math.log1p(-rs / r_b)))
-
-
-def _require_static_emitter(emitter: Observer) -> None:
+def _log_rate_ratio(body: Body, emitter: Observer, receiver: Observer) -> float:
+    """log(rate_A/rate_B) for a static emitter A and a receiver B."""
     if emitter.motion is not Motion.STATIC:
         raise ValueError("orbiting emitters are not supported; emitter must be static")
+    return _log_rate_factor(body, emitter) - _log_rate_factor(body, receiver)
 
 
 def redshift_total(body: Body, emitter: Observer, receiver: Observer) -> float:
@@ -199,10 +168,7 @@ def redshift_total(body: Body, emitter: Observer, receiver: Observer) -> float:
     A low-orbit receiver above a ground emitter can come out *blue*
     shifted: the orbital 3M term wins below r_B = 1.5 r_A.
     """
-    _require_static_emitter(emitter)
-    log_a = _log_rate_factor(body, emitter)
-    log_b = _log_rate_factor(body, receiver)
-    return math.exp(0.5 * (log_a - log_b))
+    return math.exp(0.5 * _log_rate_ratio(body, emitter, receiver))
 
 
 def shift_parameter(body: Body, emitter: Observer, receiver: Observer) -> ShiftParameter:
@@ -212,10 +178,7 @@ def shift_parameter(body: Body, emitter: Observer, receiver: Observer) -> ShiftP
     keeps full relative precision.  sign is UP exactly when the
     frequency ratio is below one (net redshift); delta = 0 reports UP.
     """
-    _require_static_emitter(emitter)
-    log_a = _log_rate_factor(body, emitter)
-    log_b = _log_rate_factor(body, receiver)
-    x = math.expm1(0.25 * (log_a - log_b))
+    x = math.expm1(0.25 * _log_rate_ratio(body, emitter, receiver))
     return ShiftParameter(delta=abs(x), sign=Sign.UP if x <= 0.0 else Sign.DOWN)
 
 

@@ -27,6 +27,9 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 # mass beyond 15 sigma is ~5e-51, far below every tolerance used here.
 SUPPORT_SIGMAS = 15.0
 
+# tabulate's sampling density: keeps trapezoid aliasing error below 1e-30
+_POINTS_PER_WIDTH = 8
+
 
 @dataclass(frozen=True)
 class GaussianPacket:
@@ -94,8 +97,7 @@ class TabulatedPacket:
         norm = total_probability(self)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(
-                f"packet is not normalized: integral |F|^2 = {norm!r}"
-                " (tolerance 1e-10); pass renormalize=True when loading"
+                f"packet is not normalized: integral |F|^2 = {norm!r} (tolerance 1e-10)"
             )
 
     def amplitude(self, nu):
@@ -142,16 +144,22 @@ def total_probability(packet: WavePacket) -> float:
     return float(_trapezoid(np.abs(packet.amp) ** 2, packet.freq_hz))
 
 
-def tabulate(packet: GaussianPacket, points_per_width: int = 8) -> TabulatedPacket:
+def tabulate(packet: GaussianPacket) -> TabulatedPacket:
     """Sample a Gaussian packet onto a uniform grid over its support.
 
-    The default 8 points per width keeps trapezoid aliasing error below
-    1e-30, so the tabulated twin is normalized far inside the 1e-10 gate.
+    For lines narrower than ~1e-9 of their peak the grid values round
+    to a visibly uneven spacing, so the samples are normalized on the
+    grid they land on.
     """
     lo, hi = packet.support()
-    n = int(round(2 * SUPPORT_SIGMAS * points_per_width)) + 1
-    grid = np.linspace(lo, hi, n)
-    return TabulatedPacket(grid, packet.amplitude(grid).astype(complex))
+    grid = np.linspace(lo, hi, int(2 * SUPPORT_SIGMAS * _POINTS_PER_WIDTH) + 1)
+    return _normalized(grid, packet.amplitude(grid).astype(complex))
+
+
+def _normalized(grid: np.ndarray, amp: np.ndarray) -> TabulatedPacket:
+    """The packet with amplitudes amp scaled to unit probability on grid."""
+    norm = float(_trapezoid(np.abs(amp) ** 2, grid))
+    return TabulatedPacket(grid, amp / math.sqrt(norm))
 
 
 def propagate_packet(packet: WavePacket, ratio: float) -> WavePacket:
@@ -173,10 +181,7 @@ def propagate_packet(packet: WavePacket, ratio: float) -> WavePacket:
     # one by less than one ulp of the grid values, so the rounded grid
     # cannot express the rescaling; renormalizing on the realized grid
     # keeps the packet exactly unit-probability either way.
-    grid = packet.freq_hz / chi
-    amp = packet.amp * math.sqrt(chi)
-    norm = float(_trapezoid(np.abs(amp) ** 2, grid))
-    return TabulatedPacket(grid, amp / math.sqrt(norm))
+    return _normalized(packet.freq_hz / chi, packet.amp * math.sqrt(chi))
 
 
 def _disjoint(a: tuple[float, float], b: tuple[float, float]) -> bool:
@@ -286,12 +291,11 @@ def overlap_gaussian_closed(packet: GaussianPacket, shift: ShiftParameter) -> Ov
     return OverlapResult(delta=value, q=min(max(q, 0.0), 1.0))
 
 
-def read_packet_csv(path, renormalize: bool = False) -> TabulatedPacket:
+def read_packet_csv(path) -> TabulatedPacket:
     """Load a tabulated packet from CSV.
 
     Expected header: frequency_hz, amplitude_real and optionally
-    amplitude_imag.  With renormalize=True the amplitudes are scaled to
-    unit total probability before the normalization gate runs.
+    amplitude_imag.  The packet must already be normalized.
     """
     freqs: list[float] = []
     amps: list[complex] = []
@@ -308,14 +312,7 @@ def read_packet_csv(path, renormalize: bool = False) -> TabulatedPacket:
             freqs.append(float(row["frequency_hz"]))
             im = float(row["amplitude_imag"]) if has_imag else 0.0
             amps.append(complex(float(row["amplitude_real"]), im))
-    freq = np.asarray(freqs)
-    amp = np.asarray(amps)
-    if renormalize:
-        norm = float(_trapezoid(np.abs(amp) ** 2, freq))
-        if norm <= 0.0:
-            raise ValueError("packet CSV has zero total probability")
-        amp = amp / math.sqrt(norm)
-    return TabulatedPacket(freq, amp)
+    return TabulatedPacket(np.asarray(freqs), np.asarray(amps))
 
 
 def write_packet_csv(packet: WavePacket, path) -> None:

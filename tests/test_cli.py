@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gravlink.cli as cli
 from gravlink import ConvergenceError
@@ -33,17 +36,22 @@ def run_cli(*args: str):
     )
 
 
+def _main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture()
-def gravlink(capsys):
+def gravlink():
     """cli.main in this process, returned like a finished subprocess."""
 
     def call(*args: str):
-        try:
-            code = cli.main(list(args))
-        except SystemExit as exc:
-            code = exc.code
-        out, err = capsys.readouterr()
-        return subprocess.CompletedProcess(list(args), code, out, err)
+        return subprocess.CompletedProcess(list(args), *_main_in_process(list(args)))
 
     return call
 
@@ -136,6 +144,115 @@ class TestValidation:
     def test_sweep_out_of_the_narrowband_regime(self, gravlink, leo_config):
         proc = gravlink("sweep", str(leo_config), "--parameter", "width_hz", "--grid", "1e6,1e13")
         self._rejected(proc, "sweep.grid[1]")
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["entangle", "--q", "nan"], "q must lie in [0, 1]"),
+            (["qber", "--q", "1.5"], "q must lie in [0, 1]"),
+            (["overlap", "--delta", "nan"], "delta: must lie in [0, 1)"),
+            (["overlap", "--delta", "1"], "delta: must lie in [0, 1)"),
+            (["cv-homodyne", "--alpha", "nan", "--beta", "1"], "protocol.alpha"),
+            (["cv-homodyne", "--alpha", "1", "--beta=-inf"], "protocol.beta"),
+            (["qber", "--q", "0.1", "--trials", "5"], "monte_carlo.trials"),
+            (["qber", "--q", "0.1", "--trials", "1" + "0" * 400], "monte_carlo.trials"),
+            (["qber", "--q", "0.1", "--trials", "20000", "--seed", "-1"], "monte_carlo.seed"),
+        ],
+        ids=["entangle-q", "qber-q", "delta-nan", "delta-one", "alpha", "beta",
+             "trials", "trials-huge", "seed"],
+    )
+    def test_flag_numbers_carry_field_paths(self, gravlink, argv, field):
+        self._rejected(gravlink(*argv), field)
+
+    @pytest.mark.parametrize(
+        "monte_carlo, field",
+        [
+            ({"trials": int("9" * 401), "seed": 1}, "monte_carlo.trials"),
+            ({"trials": 20_000, "seed": -1}, "monte_carlo.seed"),
+        ],
+        ids=["trials-huge", "seed-negative"],
+    )
+    def test_monte_carlo_config_numbers(self, gravlink, tmp_path, monte_carlo, field):
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(dict(LEO_CONFIG, monte_carlo=monte_carlo)))
+        self._rejected(gravlink("run", str(path)), field)
+
+    def test_huge_coherent_amplitude_underflows(self, gravlink, tmp_path):
+        path = tmp_path / "loud.json"
+        path.write_text(json.dumps(dict(LEO_CONFIG, protocol={"kind": "coherent", "alpha": 1e200})))
+        proc = gravlink("run", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["fidelity"] == 0.0
+
+
+# numbers outside every domain next to ordinary ones: NaN, +-inf, integers
+# beyond the float range, floats whose square overflows, and any float
+_ODD = st.sampled_from([math.nan, math.inf, -math.inf])
+_HUGE = st.integers(10**309, 10**401) | st.integers(-(10**401), -(10**309))
+_BIG = st.floats(1e150, 1.7e308) | st.floats(-1.7e308, -1e150)
+_NUMBERS = _ODD | _HUGE | _BIG | st.floats()
+# the sampler's cost grows linearly with the trial count, so accepted
+# counts stay small; counts beyond the float range come from _HUGE
+_TRIALS = _ODD | _HUGE | st.floats(-1e6, 1e6) | st.integers(-(10**5), 2 * 10**5)
+_SEEDS = _NUMBERS | st.integers(-(10**3), 2**64)
+_PARAMS = {"single_photon": (), "coherent": ("alpha",), "tmss": ("s",), "entangle_qkd": (),
+           "cv_homodyne": ("alpha", "beta")}
+
+
+@st.composite
+def _run_docs(draw):
+    """One config per protocol kind, all sharing the drawn numbers."""
+    numbers = {name: draw(_NUMBERS) for name in ("alpha", "s", "beta")}
+    base = dict(LEO_CONFIG, receiver=draw(st.sampled_from(["iss", "far_field"])))
+    del base["monte_carlo"]
+    if draw(st.booleans()):
+        base["monte_carlo"] = {"trials": draw(_TRIALS), "seed": draw(_SEEDS)}
+    return [
+        dict(base, protocol={"kind": kind, **{name: numbers[name] for name in params}})
+        for kind, params in _PARAMS.items()
+    ]
+
+
+def _flag(name: str, number) -> str:
+    # one token, so that argparse reads "-inf" as a value, not an option
+    return f"--{name}={number!r}"
+
+
+_FLAG_ARGV = st.one_of(
+    st.builds(lambda q: ["entangle", _flag("q", q)], _NUMBERS),
+    st.builds(lambda d, sign: ["overlap", _flag("delta", d), "--sign", sign],
+              _NUMBERS, st.sampled_from(["up", "down"])),
+    st.builds(lambda a, b: ["cv-homodyne", _flag("alpha", a), _flag("beta", b)],
+              _NUMBERS, _NUMBERS),
+    st.builds(lambda q: ["qber", _flag("q", q)], _NUMBERS),
+    st.builds(lambda q, n, seed: ["qber", _flag("q", q), _flag("trials", n), _flag("seed", seed)],
+              _NUMBERS, st.integers(-(10**5), 2 * 10**5), _HUGE | st.integers(-(10**3), 2**64)),
+)
+
+
+def _assert_exit_contract(argv):
+    """Exit 0, or exit 1 with a single `gravlink: ` line on stderr."""
+    code, out, err = _main_in_process(argv)
+    assert "Traceback" not in err
+    assert code in (0, 1), (argv, code, err)
+    if code == 1:
+        assert out == ""
+        assert err.startswith("gravlink: ") and err.count("\n") == 1, err
+
+
+class TestExitCodeContract:
+    @given(_run_docs())
+    @settings(max_examples=100, deadline=None)
+    def test_run_configs(self, tmp_path_factory, docs):
+        path = tmp_path_factory.mktemp("fuzz") / "config.json"
+        for doc in docs:
+            path.write_text(json.dumps(doc))
+            _assert_exit_contract(["run", str(path)])
+
+    @given(_FLAG_ARGV)
+    @settings(max_examples=100, deadline=None)
+    def test_flag_numbers(self, argv):
+        _assert_exit_contract(argv)
 
 
 class TestRedshift:

@@ -77,6 +77,15 @@ def test_v_ignores_signal_phase():
     assert a.exact_v == pytest.approx(b.exact_v, rel=1e-15)
 
 
+def test_huge_amplitudes_overflow_to_infinity():
+    # |beta|^2 and |alpha|^2 overflow a float from ~1.3e154 on
+    res = homodyne_expectation(HomodynePrep(alpha=1e200, beta=1e200))
+    assert res.x == res.v == res.exact_v == math.inf
+    res = homodyne_expectation(HomodynePrep(alpha=1e200, beta=1.0))
+    assert res.x == 2e200
+    assert res.v == res.exact_v == math.inf
+
+
 def test_prep_validation():
     with pytest.raises(ValueError):
         HomodynePrep(alpha=math.inf, beta=1.0)

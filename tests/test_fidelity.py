@@ -47,6 +47,14 @@ def test_coherent_vacuum_is_insensitive():
     assert coherent_fidelity(0.3, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("alpha", [1e154, 1.4e154, 1e200, -1e300, complex(0.0, 1e300)])
+def test_coherent_huge_amplitude(alpha):
+    # |alpha|^2 overflows a float from ~1.3e154 on
+    assert coherent_fidelity(1.0, alpha) == 1.0
+    assert coherent_fidelity(1.0 - 1e-16, alpha) == 0.0
+    assert coherent_fidelity(D_FAR, alpha) == 0.0
+
+
 def test_coherent_only_real_part_matters():
     assert coherent_fidelity(0.5 + 0.4j, 2.0) == coherent_fidelity(0.5 - 0.4j, 2.0)
     assert coherent_fidelity(0.5 + 0.4j, 2.0) == pytest.approx(

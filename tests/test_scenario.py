@@ -25,7 +25,6 @@ from gravlink import (
 )
 from gravlink.scenario import (
     RESULT_FIELDS,
-    config_to_dict,
     parse_config,
     render_csv,
     render_json,
@@ -89,6 +88,14 @@ class TestParsing:
              "protocol.s"),
             (lambda c: c.update(monte_carlo={"trials": 100, "seed": 1}),
              "monte_carlo.trials"),
+            (lambda c: c.update(monte_carlo={"trials": 10**400, "seed": 1}),
+             "monte_carlo.trials: integer too large for a float"),
+            (lambda c: c.update(monte_carlo={"trials": math.inf, "seed": 1}),
+             "monte_carlo.trials: must be an integer"),
+            (lambda c: c.update(monte_carlo={"trials": 20_000, "seed": -1}),
+             "monte_carlo.seed: must be an integer >= 0"),
+            (lambda c: c.update(monte_carlo={"trials": 20_000, "seed": 0.5}),
+             "monte_carlo.seed: must be an integer >= 0"),
             (lambda c: c.update(receiver={"radius_m": 6.771e6, "motion": "hover"}),
              "receiver.motion"),
             (lambda c: c.update(emitter={"radius_m": 6.371e6, "motion": "orbit"}),
@@ -121,12 +128,10 @@ class TestParsing:
         cfg["receiver"] = {"radius_m": math.inf}
         assert parse_config(cfg).receiver.radius == math.inf
 
-    def test_round_trips_through_dict(self):
+    def test_monte_carlo_integers_keep_their_exact_value(self):
         cfg = base_config()
-        cfg["protocol"] = {"kind": "tmss", "s": 1.25}
-        cfg["monte_carlo"] = {"trials": 20_000, "seed": 5}
-        sc = parse_config(cfg)
-        assert parse_config(config_to_dict(sc)) == sc
+        cfg["monte_carlo"] = {"trials": 20_000, "seed": 2**60 + 1}
+        assert parse_config(cfg).monte_carlo.seed == 2**60 + 1
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "scenario.json"
@@ -346,6 +351,25 @@ class TestReferenceTable:
         assert by_name["q far-field (spdc_blue)"]["verdict"] == "ok"
         assert by_name["q far-field (rb_vapor)"]["verdict"] == "paper-inconsistent"
         assert by_name["QBER far-field (%)"]["deviation"] < 0.1 / 0.75
+
+    def test_computed_values_are_run_scenario_fields(self):
+        def run(receiver, source):
+            doc = dict(base_config(), receiver=receiver, source=source)
+            return run_scenario(parse_config(doc))
+
+        leo, far = run("iss", "spdc_blue"), run("far_field", "spdc_blue")
+        far_rb = run("far_field", "rb_vapor")
+        expected = {
+            "delta far-field": far.delta,
+            "delta ground-to-orbit": leo.delta,
+            "1 - Delta ground-to-orbit (spdc_blue)": 1.0 - leo.Delta,
+            "q ground-to-orbit (spdc_blue)": leo.q,
+            "q far-field (spdc_blue)": far.q,
+            "q far-field (rb_vapor)": far_rb.q,
+            "negativity correction far-field (%)": 100.0 * (1.0 - 2.0 * far.negativity),
+            "QBER far-field (%)": 100.0 * far.qber,
+        }
+        assert {r["quantity"]: r["computed"] for r in reference_table()} == expected
 
 
 class TestRendering:
