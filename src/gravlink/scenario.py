@@ -257,13 +257,18 @@ def _count(doc: dict, key: str, path: str, minimum: int) -> int:
     return doc[key] if isinstance(doc[key], int) else int(val)
 
 
+# Largest accepted monte_carlo.trials: the sampler runs at about 9 ns per
+# trial, so this is about a second of sampling.
+_MAX_TRIALS = 10**8
+
+
 def _parse_monte_carlo(doc, path: str = "monte_carlo") -> MonteCarloSpec:
     doc = _require_mapping(doc, path)
     _reject_unknown(doc, {"trials", "seed"}, path)
-    return MonteCarloSpec(
-        trials=_count(doc, "trials", path, minimum=10_000),
-        seed=_count(doc, "seed", path, minimum=0),
-    )
+    trials = _count(doc, "trials", path, minimum=10_000)
+    if trials > _MAX_TRIALS:
+        raise ConfigError(f"{path}.trials: must be <= {_MAX_TRIALS}, got {doc['trials']!r}")
+    return MonteCarloSpec(trials=trials, seed=_count(doc, "seed", path, minimum=0))
 
 
 def _parse_output(doc, path: str = "output") -> OutputSpec:
@@ -327,7 +332,9 @@ def load_config(path) -> ScenarioConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, an integer past Python's 4300-digit conversion
+        # limit, or bytes that are not UTF-8
         raise ConfigError(f"config: not valid JSON ({exc})") from None
     return parse_config(doc)
 

@@ -68,6 +68,38 @@ def leo_config(tmp_path):
     return path
 
 
+_NO_SCIPY = """
+import contextlib, io, sys
+from gravlink import cli
+for argv in ARGVS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    cv = tmp_path / "cv.json"
+    cv.write_text(json.dumps(dict(LEO_CONFIG, protocol={"kind": "cv_homodyne", "alpha": 0.5,
+                                                         "beta": 1.0})))
+    argvs = [
+        ["redshift", "--receiver", "iss"],
+        ["overlap", "--receiver", "iss", "--quadrature"],
+        ["entangle", "--receiver", "iss"],
+        ["qber", "--q", "0.1", "--trials", "20000", "--seed", "7"],
+        ["cv-homodyne", "--alpha", "0.5", "--beta", "1"],
+        ["run", str(cv)],
+        ["sweep", str(cv), "--parameter", "width_hz", "--grid", "log:1e5:1e7:3"],
+        ["paper-table"],
+    ]
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert {argv[0] for argv in argvs} == set(subparsers.choices)
+    proc = subprocess.run([sys.executable, "-c", f"ARGVS = {argvs!r}" + _NO_SCIPY],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class TestExitCodes:
     def test_missing_subcommand(self):
         assert run_cli().returncode == 1
@@ -156,10 +188,11 @@ class TestValidation:
             (["cv-homodyne", "--alpha", "1", "--beta=-inf"], "protocol.beta"),
             (["qber", "--q", "0.1", "--trials", "5"], "monte_carlo.trials"),
             (["qber", "--q", "0.1", "--trials", "1" + "0" * 400], "monte_carlo.trials"),
+            (["qber", "--q", "0.1", "--trials", str(10**20)], "monte_carlo.trials: must be <="),
             (["qber", "--q", "0.1", "--trials", "20000", "--seed", "-1"], "monte_carlo.seed"),
         ],
         ids=["entangle-q", "qber-q", "delta-nan", "delta-one", "alpha", "beta",
-             "trials", "trials-huge", "seed"],
+             "trials", "trials-huge", "trials-over-max", "seed"],
     )
     def test_flag_numbers_carry_field_paths(self, gravlink, argv, field):
         self._rejected(gravlink(*argv), field)
@@ -176,6 +209,13 @@ class TestValidation:
         path = tmp_path / "mc.json"
         path.write_text(json.dumps(dict(LEO_CONFIG, monte_carlo=monte_carlo)))
         self._rejected(gravlink("run", str(path)), field)
+
+    def test_integer_past_the_digit_limit(self, gravlink, tmp_path):
+        # json.load refuses integer literals of more than 4300 digits
+        path = tmp_path / "long.json"
+        text = json.dumps(dict(LEO_CONFIG, monte_carlo={"trials": 1, "seed": 1}))
+        path.write_text(text.replace('"trials": 1,', '"trials": ' + "9" * 5000 + ","))
+        self._rejected(gravlink("run", str(path)), "gravlink: config: not valid JSON (")
 
     def test_huge_coherent_amplitude_underflows(self, gravlink, tmp_path):
         path = tmp_path / "loud.json"

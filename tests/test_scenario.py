@@ -92,6 +92,10 @@ class TestParsing:
              "monte_carlo.trials: integer too large for a float"),
             (lambda c: c.update(monte_carlo={"trials": math.inf, "seed": 1}),
              "monte_carlo.trials: must be an integer"),
+            (lambda c: c.update(monte_carlo={"trials": 1e300, "seed": 1}),
+             "monte_carlo.trials: must be <= 100000000"),
+            (lambda c: c.update(monte_carlo={"trials": 10**8 + 1, "seed": 1}),
+             "monte_carlo.trials: must be <= 100000000"),
             (lambda c: c.update(monte_carlo={"trials": 20_000, "seed": -1}),
              "monte_carlo.seed: must be an integer >= 0"),
             (lambda c: c.update(monte_carlo={"trials": 20_000, "seed": 0.5}),
@@ -143,6 +147,12 @@ class TestParsing:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("trials", [10_000, 100_000, 200_000, 10**8])
+    def test_monte_carlo_trials_up_to_the_maximum_pass(self, trials):
+        cfg = base_config()
+        cfg["monte_carlo"] = {"trials": trials, "seed": 1}
+        assert parse_config(cfg).monte_carlo.trials == trials
 
 
 class TestRunScenario:

@@ -23,7 +23,7 @@ from gravlink import (
     tabulate,
     write_packet_csv,
 )
-from gravlink.wavepacket import total_probability
+from gravlink.wavepacket import _GK_NODES, _GK_WEIGHTS, _gk21, total_probability
 
 SPDC = GaussianPacket(peak_hz=700e12, width_hz=1e6)
 RB = GaussianPacket(peak_hz=380e12, width_hz=5e6)
@@ -202,6 +202,101 @@ class TestQuadrature:
         assert res.delta == pytest.approx(1.0, abs=1e-12)
 
 
+def _offset_problem(p1, p2):
+    """overlap_quadrature's Gaussian integrand: the parameters of
+    norm exp(-((u - d1)/h1)^2 - ((u - d2)/h2)^2), its interval and peaks."""
+    center = 0.5 * (p1.peak_hz + p2.peak_hz)
+    d1, d2 = p1.peak_hz - center, p2.peak_hz - center
+    norm = (2.0 * math.pi * p1.width_hz * p2.width_hz) ** -0.5
+    lo = max(p1.support()[0], p2.support()[0]) - center
+    hi = min(p1.support()[1], p2.support()[1]) - center
+    peaks = sorted({d for d in (d1, d2) if lo < d < hi})
+    return (norm, d1, d2, 2.0 * p1.width_hz, 2.0 * p2.width_hz), lo, hi, peaks
+
+
+def _quadpack_overlap(p1, p2):
+    """The same integral by scipy's QUADPACK: breakpoints at the peaks,
+    epsabs = epsrel = 1e-13, at most 200 subintervals."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    (norm, d1, d2, h1, h2), lo, hi, peaks = _offset_problem(p1, p2)
+
+    def integrand(u):
+        return norm * math.exp(-(((u - d1) / h1) ** 2) - ((u - d2) / h2) ** 2)
+
+    return quad(integrand, lo, hi, points=peaks, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+
+def _exact_overlap(p1, p2):
+    """The same integral in closed form, erf at 60 digits: the product of
+    the two Gaussians is norm e^-C exp(-A (u - m)^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    (norm, d1, d2, h1, h2), lo, hi, _ = _offset_problem(p1, p2)
+    if not lo < hi:  # disjoint supports
+        return 0.0
+    with mpmath.workdps(60):
+        norm, d1, d2, h1, h2, lo, hi = (mpmath.mpf(x) for x in (norm, d1, d2, h1, h2, lo, hi))
+        a = 1 / h1**2 + 1 / h2**2
+        m = (d1 / h1**2 + d2 / h2**2) / a
+        c = (d1 - d2) ** 2 / (h1**2 + h2**2)
+        root = mpmath.sqrt(a)
+        erfs = mpmath.erf(root * (hi - m)) - mpmath.erf(root * (lo - m))
+        return float(norm * mpmath.exp(-c) * mpmath.sqrt(mpmath.pi) / (2 * root) * erfs)
+
+
+@st.composite
+def _gaussian_pairs(draw):
+    peak = 10.0 ** draw(st.floats(12.0, 15.0))
+    width = peak / 10.0 ** draw(st.floats(7.0, 10.0))
+    base = GaussianPacket(peak, width)
+    if draw(st.booleans()):
+        # the pipeline's pair: a packet and its image scaled by k = 1 -+ delta
+        delta = 10.0 ** draw(st.floats(-12.0, -8.0))
+        k = 1.0 - delta if draw(st.booleans()) else 1.0 + delta
+        return base, GaussianPacket(k * peak, k * width)
+    # a detuned pair of unequal widths, up to 12 widths apart
+    offset = draw(st.floats(-12.0, 12.0)) * width
+    return base, GaussianPacket(peak + offset, width * 10.0 ** draw(st.floats(-0.7, 0.7)))
+
+
+class TestGaussKronrod:
+    def test_rule_degrees(self):
+        # K21 integrates x^n exactly up to n = 31, its G10 part up to 19
+        kronrod, gauss = _GK_WEIGHTS.T
+        for n in range(32):
+            exact = 2.0 / (n + 1) if n % 2 == 0 else 0.0
+            assert kronrod @ _GK_NODES**n == pytest.approx(exact, abs=1e-15)
+            if n < 20:
+                assert gauss @ _GK_NODES**n == pytest.approx(exact, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "f, edges, exact",
+        [
+            (np.cos, [0.0, math.pi / 2], 1.0),
+            # one panel over +-10 is far too coarse: bisection must refine it
+            (lambda x: np.exp(-x * x), [-10.0, 10.0], math.sqrt(math.pi)),
+        ],
+        ids=["cos", "gaussian"],
+    )
+    def test_smooth_integrand(self, f, edges, exact):
+        value, abserr = _gk21(f, edges)
+        assert value == pytest.approx(exact, abs=1e-15)
+        assert abserr < 1e-13
+
+    def test_hitting_the_limit_reports_a_large_abserr(self):
+        # 200 panels leave ~50 radians of cos(1e4 x) to each
+        value, abserr = _gk21(lambda x: np.cos(1e4 * x), [0.0, 1.0])
+        assert abserr > 1e-2
+        assert abs(value - math.sin(1e4) / 1e4) <= abserr
+
+    @given(_gaussian_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_gaussian_pairs_against_quadpack_and_mpmath(self, pair):
+        res = overlap_quadrature(*pair)
+        assert abs(res.delta - _quadpack_overlap(*pair)) <= 1e-15
+        assert abs(res.delta - _exact_overlap(*pair)) <= res.abserr
+        assert res.abserr < 1e-13
+
+
 class TestPropagate:
     def test_gaussian_rescaling(self):
         out = propagate_packet(SPDC, 0.5)
@@ -279,6 +374,8 @@ def test_tabulated_packet_validation():
         TabulatedPacket(grid[::-1], amp)
     with pytest.raises(ValueError, match="not normalized"):
         TabulatedPacket(grid, 2.0 * amp)
+    with pytest.raises(ValueError, match="not normalized"):  # a NaN norm
+        TabulatedPacket(grid, np.full(grid.size, np.nan))
 
 
 def test_overlap_result_validation():
@@ -333,6 +430,15 @@ class TestCsvRoundTrip:
         lines = ["frequency_hz,amplitude_real"]
         for nu, a in zip(tab.freq_hz, tab.amp):
             lines.append(f"{float(nu)!r},{float(a.real) * 3.0!r}")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="not normalized"):
+            read_packet_csv(path)
+
+    def test_nan_cells_are_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        tab = tabulate(SPDC)
+        lines = ["frequency_hz,amplitude_real"]
+        lines += [f"{float(nu)!r},nan" for nu in tab.freq_hz]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="not normalized"):
             read_packet_csv(path)
