@@ -28,6 +28,7 @@ from .scenario import (
     ConfigError,
     Protocol,
     ScenarioResult,
+    _MAX_GRID_POINTS,
     _check_q,
     _parse_body,
     _parse_link,
@@ -400,6 +401,8 @@ def _parse_grid(text: str) -> list[float]:
             raise ConfigError(f"sweep.grid: bad {head} range {text!r}") from None
         if count < 1:
             raise ConfigError("sweep.grid: COUNT must be >= 1")
+        if count > _MAX_GRID_POINTS:
+            raise ConfigError(f"sweep.grid: COUNT must be <= {_MAX_GRID_POINTS}, got {count}")
         if head == "log":
             if start <= 0.0 or stop <= 0.0:
                 raise ConfigError("sweep.grid: log range needs positive endpoints")

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from operator import add
 
 from . import entangleswap, fidelity
 from .cvhomodyne import HomodynePrep, _received_overlap, homodyne_expectation
@@ -21,6 +23,7 @@ from .spacetime import (
     Body,
     Motion,
     Observer,
+    ShiftParameter,
     coordinate_travel_time,
     redshift_total,
     shift_parameter,
@@ -384,14 +387,29 @@ PROTOCOL_TABLE = {
 }
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Chain geometry -> overlap -> protocol for one configuration."""
-    body, emitter, receiver = config.body, config.emitter, config.receiver
-    ratio = redshift_total(body, emitter, receiver)
+_Geometry = tuple[float, ShiftParameter, float]
+
+
+def _link_geometry(body: Body, emitter: Observer, receiver: Observer) -> _Geometry:
+    """What a link gives every source sent over it: (redshift_ratio,
+    shift, travel_time_s)."""
+    return (
+        redshift_total(body, emitter, receiver),
+        shift_parameter(body, emitter, receiver),
+        coordinate_travel_time(body, emitter.radius, receiver.radius),
+    )
+
+
+def _link_result(
+    geometry: _Geometry,
+    source: GaussianPacket,
+    proto: Protocol,
+    monte_carlo: MonteCarloSpec | None = None,
+) -> ScenarioResult:
+    """One source over a link of known geometry: overlap -> protocol."""
+    ratio, shift, travel = geometry
     chi = 1.0 / ratio
-    shift = shift_parameter(body, emitter, receiver)
-    overlap = overlap_gaussian_closed(config.source, shift)
-    travel = coordinate_travel_time(body, emitter.radius, receiver.radius)
+    overlap = overlap_gaussian_closed(source, shift)
     tags = dict(_GEOMETRY_TAGS)
     values: dict[str, float | None] = {
         "chi": chi,
@@ -405,10 +423,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         "redshift_ratio": ratio,
     }
     extras: dict[str, float] = {}
-    proto = config.protocol
 
     if proto.kind == "cv_homodyne":
-        values["fidelity"] = _received_overlap(config.source, config.source, chi)
+        values["fidelity"] = _received_overlap(source, source, chi)
         tags["fidelity"] = "received signal/LO mode overlap (1: homodyne unaffected)"
         prep = HomodynePrep(alpha=proto.alpha, beta=proto.beta)
         hom = homodyne_expectation(prep)
@@ -422,13 +439,19 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         figures, figure_tags = PROTOCOL_TABLE[proto.kind]
         values.update(figures(values["Delta"], overlap.q, proto))
         tags.update(figure_tags)
-        if proto.kind == "entangle_qkd" and config.monte_carlo is not None:
+        if proto.kind == "entangle_qkd" and monte_carlo is not None:
             extras["qber_mc"] = entangleswap.qber_monte_carlo(
-                overlap.q, config.monte_carlo.trials, config.monte_carlo.seed
+                overlap.q, monte_carlo.trials, monte_carlo.seed
             )
             tags["qber_mc"] = "empirical fraction of disagreeing sifted bits (seeded)"
 
     return ScenarioResult(**values, tags=tags, extras=extras)
+
+
+def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+    """Chain geometry -> overlap -> protocol for one configuration."""
+    geometry = _link_geometry(config.body, config.emitter, config.receiver)
+    return _link_result(geometry, config.source, config.protocol, config.monte_carlo)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +560,11 @@ def reference_table() -> list[dict]:
 
 SWEEP_PARAMETERS = ("width_hz", "peak_hz", "receiver_radius_m", "q")
 
+# Largest accepted sweep grid: a 10^5-point receiver_radius_m sweep
+# prints 96 MB of JSON in about 4 s and 540 MB of memory on a 2-core
+# host, and the cost grows linearly from there.
+_MAX_GRID_POINTS = 100_000
+
 
 def _check_q(q: float) -> float:
     """q, the mode mismatch weight, checked against its domain [0, 1]."""
@@ -558,28 +586,17 @@ def _result_from_q(config: ScenarioConfig, q: float) -> ScenarioResult:
     return ScenarioResult(**values, tags=tags, extras={})
 
 
-def _sweep_point(config: ScenarioConfig, parameter: str, value: float) -> ScenarioResult:
-    if parameter == "q":
-        return _result_from_q(config, value)
-    if parameter == "receiver_radius_m":
-        _check_station(config.body, value, "receiver.radius_m")
-        receiver = Observer(radius=value, motion=config.receiver.motion)
-        return run_scenario(replace(config, receiver=receiver))
-    try:
-        source = replace(config.source, **{parameter: value})
-    except ValueError as exc:
-        raise ConfigError(f"source: {exc}") from None
-    return run_scenario(replace(config, source=source))
-
-
 def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[ScenarioResult]:
     """One ScenarioResult per grid value, in grid order.
 
     parameter is one of width_hz, peak_hz (source), receiver_radius_m,
     or q (bypasses the geometry entirely; geometric fields come back
-    None).  Monte Carlo settings are dropped during sweeps to keep rows
-    cheap and deterministic.  A grid value outside the model's domain
-    raises ConfigError naming its index, sweep.grid[i].
+    None).  A source sweep leaves the link alone, so its geometry is
+    computed once for the whole grid.  Monte Carlo settings are dropped
+    during sweeps to keep rows cheap and deterministic.  A grid value
+    outside the model's domain raises ConfigError naming its index,
+    sweep.grid[i]; a grid of more than _MAX_GRID_POINTS values raises it
+    for sweep.grid before any point runs.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(
@@ -589,11 +606,30 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
         raise ConfigError("sweep.parameter: q sweeps need a non-cv protocol")
     if len(grid) == 0:
         raise ConfigError("sweep.grid: empty grid")
-    base = replace(config, monte_carlo=None, output=None)
+    if len(grid) > _MAX_GRID_POINTS:
+        raise ConfigError(f"sweep.grid: at most {_MAX_GRID_POINTS} points, got {len(grid)}")
+    body, emitter, proto = config.body, config.emitter, config.protocol
+
+    if parameter == "q":
+        def point(value):
+            return _result_from_q(config, value)
+    elif parameter == "receiver_radius_m":
+        def point(value):
+            _check_station(body, value, "receiver.radius_m")
+            receiver = Observer(radius=value, motion=config.receiver.motion)
+            return _link_result(_link_geometry(body, emitter, receiver), config.source, proto)
+    else:
+        geometry = _link_geometry(body, emitter, config.receiver)
+        source_doc = {"peak_hz": config.source.peak_hz, "width_hz": config.source.width_hz}
+
+        def point(value):
+            source = _parse_source({**source_doc, parameter: value})
+            return _link_result(geometry, source, proto)
+
     results = []
     for index, value in enumerate(grid):
         try:
-            results.append(_sweep_point(base, parameter, float(value)))
+            results.append(point(float(value)))
         except ConfigError as exc:
             raise ConfigError(f"sweep.grid[{index}]: {exc}") from None
     return results
@@ -611,24 +647,104 @@ def result_to_dict(result: ScenarioResult) -> dict:
     return doc
 
 
-def _json_safe(value, precision: int | None):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return None  # JSON has no Infinity; null marks an unbounded value
-        if precision is not None:
-            return float(f"{value:.{precision}g}")
-        return value
-    if isinstance(value, dict):
-        return {k: _json_safe(v, precision) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v, precision) for v in value]
-    return value
-
-
 def render_json(rows: list[dict] | dict, precision: int | None = None) -> str:
-    """JSON text; floats rounded to `precision` significant digits when
-    given (pass None or 17 for full round-trip fidelity)."""
-    return json.dumps(_json_safe(rows, precision), indent=2) + "\n"
+    """JSON text with a two-space indent; floats rounded to `precision`
+    significant digits when given (pass None or 17 for full round-trip
+    fidelity).  JSON has no Infinity, so +-inf is written as null, which
+    marks an unbounded value.
+
+    The text is byte for byte json.dumps(doc, indent=2) + "\n" of the
+    rounded document, written in one pass: each float is rounded and
+    formatted once, and each distinct string, key list and all-string
+    object (a row's tags) is encoded once per call.  A value json cannot
+    encode raises json's own TypeError.
+    """
+    float_repr = float.__repr__
+    # format(v, "") is repr(v) for a float
+    spec = "" if precision is None else f".{precision}g"
+    strings: dict[str, str] = {}
+    shapes: dict[tuple, list[str]] = {}  # (indent, keys) -> "{" or "," + indent + key + ": "
+    string_objects: dict[tuple, str] = {}
+
+    def texts(values, inner: str) -> list[str]:
+        # below 1e308 in magnitude a float stays finite when rounded
+        return [
+            float_repr(float(format(v, spec)))
+            if type(v) is float and -1e308 < v < 1e308
+            else "null" if v is None else value(v, inner)
+            for v in values
+        ]
+
+    def number(v) -> str:
+        if not math.isfinite(v):
+            return "NaN" if v != v else "null"
+        if precision is not None:
+            v = float(format(v, spec))
+            if not math.isfinite(v):  # rounded past the largest float
+                return "Infinity" if v > 0.0 else "-Infinity"
+        return float_repr(v)
+
+    def string(s) -> str:
+        if type(s) is not str:
+            return encode_basestring_ascii(s)
+        text = strings.get(s)
+        if text is None:
+            text = strings[s] = encode_basestring_ascii(s)
+        return text
+
+    def key(k) -> str:
+        if isinstance(k, str):
+            return string(k)
+        # json's own coercion of int, float, bool and None keys, and its
+        # TypeError for any other key
+        return json.dumps({k: None})[1:-7]
+
+    def value(v, indent: str) -> str:
+        if isinstance(v, str):
+            return string(v)
+        if v is True:
+            return "true"
+        if v is False:
+            return "false"
+        if isinstance(v, float):
+            return number(v)
+        if isinstance(v, int):
+            return int.__repr__(v)
+        if isinstance(v, dict):
+            return mapping(v, indent)
+        if isinstance(v, (list, tuple)):
+            return sequence(v, indent)
+        return json.dumps(v)  # None, or json's TypeError
+
+    def mapping(d: dict, indent: str) -> str:
+        if not d:
+            return "{}"
+        inner = indent + "  "
+        shape = (inner, tuple(d))
+        heads = shapes.get(shape)
+        if heads is None:
+            heads = [("," if i else "{") + inner + key(k) + ": " for i, k in enumerate(shape[1])]
+            # only str keys: 1, 1.0 and True are equal keys with different texts
+            if {*map(type, shape[1])} != {str}:
+                return "".join(map(add, heads, texts(d.values(), inner))) + indent + "}"
+            shapes[shape] = heads
+        values = d.values()
+        if type(next(iter(values))) is str and {*map(type, values)} == {str}:
+            memo = (shape, tuple(values))
+            text = string_objects.get(memo)
+            if text is None:
+                text = "".join(map(add, heads, map(string, values))) + indent + "}"
+                string_objects[memo] = text
+            return text
+        return "".join(map(add, heads, texts(values, inner))) + indent + "}"
+
+    def sequence(seq, indent: str) -> str:
+        if not seq:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join(texts(seq, inner)) + indent + "]"
+
+    return texts((rows,), "\n")[0] + "\n"
 
 
 def _csv_cell(value) -> str:
@@ -638,7 +754,10 @@ def _csv_cell(value) -> str:
         return str(value).lower()
     if isinstance(value, float):
         return repr(float(value))  # float() strips numpy scalars from the repr
-    return str(value)
+    cell = str(value)
+    if "," in cell or '"' in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def render_csv(rows: list[dict], columns: list[str], tags: dict | None = None) -> str:
@@ -659,12 +778,7 @@ def render_csv(rows: list[dict], columns: list[str], tags: dict | None = None) -
             lines.append(f"# {key}: {tags[key]}")
     lines.append(",".join(columns))
     for row in rows:
-        cells = []
-        for key in columns:
-            cell = _csv_cell(row.get(key))
-            if "," in cell or '"' in cell:
-                cell = '"' + cell.replace('"', '""') + '"'
-            cells.append(cell)
+        cells = [repr(v) if type(v) is float else _csv_cell(v) for v in map(row.get, columns)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

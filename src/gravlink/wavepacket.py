@@ -228,15 +228,22 @@ def _disjoint(a: tuple[float, float], b: tuple[float, float]) -> bool:
 def overlap_quadrature(p1: WavePacket, p2: WavePacket) -> OverlapResult:
     """Delta = integral conj(F2) F1 dnu by adaptive quadrature.
 
-    Integrates over the intersection of the two supports (the product
-    is below 1e-48 outside it).  Packets with disjoint supports overlap
-    exactly zero; that is a valid answer, not an error.  A Gaussian
-    pair goes through adaptive Gauss-Kronrod quadrature with QUADPACK's
-    21-point rule (G10/K21 nodes and weights, qk21 error estimate; see
-    _gk21), stopped once the summed panel error estimate is at most
-    max(1e-13, 1e-13 |Delta|) or 200 panels are reached; its absolute
-    error lands well under 1e-13.  Other pairs use trapezoids on the
-    tabulated grid.
+    Integrates over the intersection of the two supports, each 15 widths
+    either side of its peak.  Outside it one packet is below e^-56 of
+    its peak while the other need not be small, so the dropped part of
+    F1 F2 is at most about 1e-25 absolute: for equal widths d widths
+    apart it is exp(-d^2/8) erfc((15 - d/2)/sqrt 2), largest (3.9e-26)
+    near d = 15 and 1.1e-28 at d = 20.  abserr does not include it: at
+    30 widths the supports touch, Delta and abserr are 0.0, and the exact
+    value is 1.4e-49.  Packets with disjoint supports overlap exactly
+    zero; that is a valid answer, not an error.
+
+    A Gaussian pair goes through adaptive Gauss-Kronrod quadrature with
+    QUADPACK's 21-point rule (G10/K21 nodes and weights, qk21 error
+    estimate; see _gk21), stopped once the summed panel error estimate
+    is at most max(1e-13, 1e-13 |Delta|) or 200 panels are reached; its
+    absolute integration error lands well under 1e-13.  Other pairs use
+    trapezoids on the tabulated grid.
     """
     s1, s2 = p1.support(), p2.support()
     if _disjoint(s1, s2):

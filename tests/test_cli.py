@@ -178,6 +178,28 @@ class TestValidation:
         self._rejected(proc, "sweep.grid[1]")
 
     @pytest.mark.parametrize(
+        "parameter, grid",
+        [("peak_hz", "inf,5e14"), ("width_hz", "inf,1e6")],
+        ids=["peak_hz", "width_hz"],
+    )
+    def test_sweep_infinite_source_value(self, gravlink, leo_config, parameter, grid):
+        proc = gravlink("sweep", str(leo_config), "--parameter", parameter, "--grid", grid)
+        self._rejected(proc, f"sweep.grid[0]: source.{parameter}: must be finite and > 0, got inf")
+
+    @pytest.mark.parametrize("count", ["10000000000", str(10**20), "100001"])
+    def test_sweep_grid_count_over_the_maximum(self, gravlink, leo_config, monkeypatch, count):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(cli.np, "linspace", no_allocation)
+        proc = gravlink("sweep", str(leo_config), "--parameter", "q", "--grid", f"lin:0:1:{count}")
+        self._rejected(proc, f"sweep.grid: COUNT must be <= 100000, got {int(count)}")
+
+    def test_grid_count_at_the_maximum_passes(self):
+        grid = cli._parse_grid("lin:0:1:100000")
+        assert len(grid) == 100_000 and grid[0] == 0.0 and grid[-1] == 1.0
+
+    @pytest.mark.parametrize(
         "argv, field",
         [
             (["entangle", "--q", "nan"], "q must lie in [0, 1]"),

@@ -1,14 +1,21 @@
-"""Byte gate: the demos and the reference table print exactly the stored output.
+"""Byte gate: the demos, the reference table and a set of CLI commands
+print exactly the stored output.
 
 The files under tests/golden/ hold the stdout of each demo and of
-`gravlink paper-table --format csv`.  A refactor that changes any
-printed byte fails here; a deliberate change of output regenerates the
-file that holds it.
+`gravlink paper-table --format csv`; tests/golden/cli/ holds the stdout
+of every command in CLI_CASES.  A refactor that changes any printed byte
+fails here; a deliberate change of output regenerates the file that
+holds it (`PYTHONPATH=src python tests/test_golden.py` rewrites the
+whole CLI set).
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,9 +26,88 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMOS = ("cv_invariance", "entanglement_swap", "mode_mismatch", "redshift_budget", "reference_table")
 
+# Base configs of the `run` and `sweep` cases, written to a temporary
+# directory under these names; {name} in an argv is that file's path.
+_LINK = {"body": "earth", "emitter": "ground", "receiver": "iss", "source": "spdc_blue"}
+CLI_CONFIGS = {
+    "single_photon": dict(_LINK, protocol="single_photon"),
+    "coherent": dict(_LINK, receiver="far_field", protocol={"kind": "coherent", "alpha": 1.5}),
+    "tmss": {
+        "body": {"mass_kg": 6.4e23, "radius_m": 3.39e6},
+        "emitter": {"radius_m": 3.39e6},
+        "receiver": {"radius_m": 2.0e7, "motion": "static"},
+        "source": "rb_vapor",
+        "protocol": {"kind": "tmss", "s": 0.8},
+    },
+    "entangle_qkd": dict(_LINK, protocol="entangle_qkd", monte_carlo={"trials": 20_000, "seed": 7}),
+    "cv_homodyne": dict(_LINK, protocol={"kind": "cv_homodyne", "alpha": 0.5, "beta": 30.0}),
+}
+
+_SWEEPS = {
+    "width_hz": "log:1e6:1e12:7",
+    "peak_hz": "3e14,5e14,7.5e14,9e14",
+    # 1.5 r_A is the orbit's zero-shift radius; inf renders travel_time_s as null
+    "receiver_radius_m": "6371000,6.771e6,9556500,4.2e7,inf",
+    "q": "lin:0:1:5",
+}
+_FORMATS = {
+    "json": [],
+    "csv": ["--format", "csv"],
+    "p17": ["--precision", "17"],
+    "p3": ["--precision", "3"],
+}
+
+
+def _cli_cases() -> dict[str, list[str]]:
+    cases = {}
+    for param, grid in _SWEEPS.items():
+        for label, flags in _FORMATS.items():
+            argv = ["sweep", "{entangle_qkd}", "--parameter", param, "--grid", grid, *flags]
+            cases[f"sweep-{param}-{label}"] = argv
+    for label in ("json", "csv"):
+        cases[f"sweep-cv_homodyne-width_hz-{label}"] = [
+            "sweep", "{cv_homodyne}", "--parameter", "width_hz", "--grid", "1e5,1e6,1e7",
+            *_FORMATS[label],
+        ]
+    for kind in CLI_CONFIGS:
+        for label in ("json", "csv"):
+            cases[f"run-{kind}-{label}"] = ["run", "{" + kind + "}", *_FORMATS[label]]
+    cases["overlap-quadrature"] = ["overlap", "--receiver", "iss", "--quadrature"]
+    cases["overlap-quadrature-rb_vapor"] = [
+        "overlap", "--receiver", "far_field", "--source", "rb_vapor", "--quadrature",
+    ]
+    cases["entangle"] = ["entangle", "--receiver", "far_field"]
+    cases["entangle-csv"] = ["entangle", "--q", "0.25", "--format", "csv"]
+    cases["redshift-far_field"] = ["redshift", "--receiver", "far_field"]
+    cases["redshift-far_field-csv"] = ["redshift", "--receiver", "far_field", "--format", "csv"]
+    cases["cv-homodyne"] = ["cv-homodyne", "--alpha", "0.5", "--beta", "30"]
+    cases["cv-homodyne-mismatched"] = [
+        "cv-homodyne", "--alpha", "0.5", "--beta", "30", "--lo-peak-hz", "7.00000001e14",
+        "--lo-width-hz", "1e6",
+    ]
+    cases["paper-table-json"] = ["paper-table"]
+    return cases
+
+
+CLI_CASES = _cli_cases()
+
 
 def _golden(name: str) -> str:
     return (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def _cli_stdout(case: str, config_dir: Path) -> str:
+    paths = {}
+    for name, doc in CLI_CONFIGS.items():
+        path = config_dir / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths[name] = str(path)
+    argv = [arg.format(**paths) for arg in CLI_CASES[case]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == 0, (case, argv)
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("demo", DEMOS)
@@ -33,3 +119,27 @@ def test_demo_stdout(demo, capsys):
 def test_paper_table_csv(capsys):
     assert cli.main(["paper-table", "--format", "csv"]) == 0
     assert capsys.readouterr().out == _golden("paper_table.csv")
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_stdout(case, tmp_path):
+    assert _cli_stdout(case, tmp_path) == _golden(f"cli/{case}.txt")
+
+
+def test_cli_set_has_no_stale_files():
+    stored = {path.stem for path in (GOLDEN / "cli").glob("*.txt")}
+    assert stored == set(CLI_CASES)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    target = GOLDEN / "cli"
+    target.mkdir(exist_ok=True)
+    for stale in target.glob("*.txt"):
+        stale.unlink()
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CLI_CASES:
+            text = _cli_stdout(case, Path(tmp))
+            (target / f"{case}.txt").write_text(text, encoding="utf-8", newline="")
+    print(f"wrote {len(CLI_CASES)} files to {target}", file=sys.stderr)

@@ -306,6 +306,59 @@ class TestSweep:
         with pytest.raises(ConfigError, match=message):
             sweep(parse_config(base_config()), parameter, grid)
 
+    @pytest.mark.parametrize("parameter", ["peak_hz", "width_hz"])
+    def test_infinite_source_values_are_rejected(self, parameter):
+        message = rf"^sweep\.grid\[1\]: source\.{parameter}: must be finite and > 0, got inf$"
+        valid = {"peak_hz": 7e14, "width_hz": 1e6}[parameter]
+        with pytest.raises(ConfigError, match=message):
+            sweep(parse_config(base_config()), parameter, [valid, math.inf])
+
+    def test_grid_point_maximum(self):
+        sc = parse_config(base_config())
+        with pytest.raises(ConfigError, match=r"^sweep\.grid: at most 100000 points, got 100001$"):
+            sweep(sc, "q", [0.0] * 100_001)
+        # exactly the maximum passes the count check and reaches the points
+        with pytest.raises(ConfigError, match=r"^sweep\.grid\[0\]: q must lie"):
+            sweep(sc, "q", [2.0] + [0.0] * 99_999)
+
+    @pytest.mark.parametrize(
+        "parameter, grid",
+        [
+            ("width_hz", [1e5, 3e6, 1e9, 5e12]),
+            ("peak_hz", [2e14, 4.5e14, 7e14, 9.9e14]),
+            ("receiver_radius_m", [6_371_000.0, 7e6, 9_556_500.0, 4e7, math.inf]),
+        ],
+    )
+    @pytest.mark.parametrize("protocol", [{"kind": "tmss", "s": 0.7},
+                                          {"kind": "cv_homodyne", "alpha": 0.5, "beta": 30.0}])
+    def test_sweep_rows_equal_runs_of_the_edited_config(self, parameter, grid, protocol):
+        doc = dict(base_config(), protocol=protocol)
+        rows = sweep(parse_config(doc), parameter, grid)
+        for value, row in zip(grid, rows):
+            edited = dict(doc)
+            if parameter == "receiver_radius_m":
+                edited["receiver"] = {"radius_m": value, "motion": "orbit"}
+            else:
+                edited["source"] = {"peak_hz": 700e12, "width_hz": 1e6, parameter: value}
+            assert row == run_scenario(parse_config(edited))
+
+    def test_source_sweeps_compute_the_geometry_once(self, monkeypatch):
+        from gravlink import scenario
+
+        calls = []
+        real = scenario.shift_parameter
+        monkeypatch.setattr(scenario, "shift_parameter", lambda *a: calls.append(a) or real(*a))
+        sc = parse_config(base_config())
+        for parameter, grid, expected in [
+            ("width_hz", [1e5, 1e6, 1e7], 1),
+            ("peak_hz", [5e14, 7e14], 1),
+            ("receiver_radius_m", [7e6, 8e6, 9e6], 3),
+            ("q", [0.1, 0.2], 0),
+        ]:
+            calls.clear()
+            sweep(sc, parameter, grid)
+            assert len(calls) == expected, parameter
+
     @pytest.mark.parametrize(
         "protocol",
         [

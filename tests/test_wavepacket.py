@@ -126,6 +126,14 @@ class TestQuadrature:
         assert res.delta == 0.0
         assert res.q == 1.0
 
+    @pytest.mark.parametrize("widths", [20, 25, 28])
+    def test_support_truncation_error_for_separated_lines(self, widths):
+        # the integral stops at the supports' intersection; what it drops
+        # stays below the 1e-25 stated in the docstring, outside abserr
+        far = GaussianPacket(SPDC.peak_hz + widths * SPDC.width_hz, SPDC.width_hz)
+        res = overlap_quadrature(SPDC, far)
+        assert abs(res.delta - math.exp(-(widths**2) / 8.0)) <= 1e-24
+
     @pytest.mark.parametrize(
         "p1, p2, expected",
         [
