@@ -14,8 +14,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import entangleswap
 from .cvhomodyne import HomodynePrep, curvature_invariance_report
 from .scenario import (
@@ -292,6 +290,8 @@ def _q_from_args(args) -> float:
 
 
 def _cmd_entangle(args) -> int:
+    import numpy as np
+
     q = _q_from_args(args)
     state = entangleswap.build_initial_state(q)
     state = entangleswap.apply_beamsplitter(state, entangleswap.AP, entangleswap.BP)
@@ -403,6 +403,8 @@ def _parse_grid(text: str) -> list[float]:
             raise ConfigError("sweep.grid: COUNT must be >= 1")
         if count > _MAX_GRID_POINTS:
             raise ConfigError(f"sweep.grid: COUNT must be <= {_MAX_GRID_POINTS}, got {count}")
+        import numpy as np
+
         if head == "log":
             if start <= 0.0 or stop <= 0.0:
                 raise ConfigError("sweep.grid: log range needs positive endpoints")
@@ -550,13 +552,16 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"gravlink: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except np.linalg.LinAlgError as exc:
-        print(f"gravlink: numerical failure: {exc}", file=sys.stderr)
-        return 2
     except ArithmeticError as exc:
         print(f"gravlink: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
+        # numpy's LinAlgError is a ValueError, and it can only have been
+        # raised if numpy was imported
+        numpy = sys.modules.get("numpy")
+        if numpy is not None and isinstance(exc, numpy.linalg.LinAlgError):
+            print(f"gravlink: numerical failure: {exc}", file=sys.stderr)
+            return 2
         print(f"gravlink: {exc}", file=sys.stderr)
         return 1
 

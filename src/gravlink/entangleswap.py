@@ -17,10 +17,13 @@ its partner on the other arm and stays in vacuum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "A",
@@ -49,11 +52,28 @@ A, B, AP, BP, CP, DP = range(6)
 N_MODES = 6
 _MAX_OCC = 2
 
-# memory basis |n_a n_b> ordered 00, 01, 10, 11
-PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
-PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-_P_PLUS = np.outer(PSI_PLUS, PSI_PLUS)
-_P_MINUS = np.outer(PSI_MINUS, PSI_MINUS)
+# numpy is imported only where an array is built, so the closed forms run
+# without it; the Bell states are module attributes built on first access
+_BELL_ARRAYS = ("PSI_PLUS", "PSI_MINUS", "_P_PLUS", "_P_MINUS")
+
+
+@functools.cache
+def _bell_states() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """PSI_PLUS and PSI_MINUS in the memory basis |n_a n_b> ordered 00, 01,
+    10, 11, then their projectors _P_PLUS and _P_MINUS."""
+    import numpy as np
+
+    plus = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    minus = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    return plus, minus, np.outer(plus, plus), np.outer(minus, minus)
+
+
+def __getattr__(name: str):
+    # check the name before building: import statements probe attributes
+    # such as __path__, and those must not load numpy
+    if name in _BELL_ARRAYS:
+        return _bell_states()[_BELL_ARRAYS.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FockVector:
@@ -194,6 +214,8 @@ def detect(state: FockVector, which: str) -> ClickOutcome:
     Returns the click probability and the heralded memory state (the
     optical modes traced out and the remainder renormalized).
     """
+    import numpy as np
+
     hit, empty = _click_mask(which)
     rho = np.zeros((4, 4), dtype=complex)
     prob = 0.0
@@ -230,9 +252,10 @@ def memory_state_closed(q: float, which: str) -> np.ndarray:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     _click_mask(which)  # validates the detector label
     r = math.sqrt(1.0 - q)
+    p_plus, p_minus = _bell_states()[2:]
     if which == "D1":
-        return 0.5 * ((1.0 + r) * _P_PLUS + (1.0 - r) * _P_MINUS)
-    return 0.5 * ((1.0 - r) * _P_PLUS + (1.0 + r) * _P_MINUS)
+        return 0.5 * ((1.0 + r) * p_plus + (1.0 - r) * p_minus)
+    return 0.5 * ((1.0 - r) * p_plus + (1.0 + r) * p_minus)
 
 
 def negativity(rho: np.ndarray) -> float:
@@ -242,6 +265,8 @@ def negativity(rho: np.ndarray) -> float:
     (still Hermitian) result and returns the total weight of the
     negative ones; 1/2 for a Bell state, 0 for separable states.
     """
+    import numpy as np
+
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
@@ -288,6 +313,8 @@ def qber_monte_carlo(q: float, trials: int, seed: int) -> float:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     if trials < 10_000:
         raise ValueError(f"need at least 1e4 trials for a meaningful rate, got {trials}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     p_plus = 0.5 * (1.0 + math.sqrt(1.0 - q))
     chunk = 1_000_000

@@ -651,13 +651,15 @@ def render_json(rows: list[dict] | dict, precision: int | None = None) -> str:
     """JSON text with a two-space indent; floats rounded to `precision`
     significant digits when given (pass None or 17 for full round-trip
     fidelity).  JSON has no Infinity, so +-inf is written as null, which
-    marks an unbounded value.
+    marks an unbounded value; so is a finite value that rounding carries
+    past the largest float.
 
     The text is byte for byte json.dumps(doc, indent=2) + "\n" of the
-    rounded document, written in one pass: each float is rounded and
-    formatted once, and each distinct string, key list and all-string
-    object (a row's tags) is encoded once per call.  A value json cannot
-    encode raises json's own TypeError.
+    rounded document with every infinity replaced by None, written in
+    one pass: each float is rounded and formatted once, and each
+    distinct string, key list and all-string object (a row's tags) is
+    encoded once per call.  A value json cannot encode raises json's own
+    TypeError.
     """
     float_repr = float.__repr__
     # format(v, "") is repr(v) for a float
@@ -681,7 +683,7 @@ def render_json(rows: list[dict] | dict, precision: int | None = None) -> str:
         if precision is not None:
             v = float(format(v, spec))
             if not math.isfinite(v):  # rounded past the largest float
-                return "Infinity" if v > 0.0 else "-Infinity"
+                return "null"
         return float_repr(v)
 
     def string(s) -> str:

@@ -13,14 +13,15 @@ each path can serve as the other's check.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .spacetime import ShiftParameter, Sign
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+if TYPE_CHECKING:
+    import numpy as np
 
 # Gaussian support is truncated at this many widths on each side; the
 # mass beyond 15 sigma is ~5e-51, far below every tolerance used here.
@@ -52,20 +53,45 @@ _WG = (
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-# the same rule on all 21 nodes in ascending order; _GK_WEIGHTS holds the
-# Kronrod and the Gauss weights as its two columns
-_GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
-_GK_KRONROD = np.array(_WGK[:-1] + _WGK[::-1])
-_GK_GAUSS = np.zeros(21)
-_GK_GAUSS[1:10:2] = _WG
-_GK_GAUSS[11::2] = _WG[::-1]
-_GK_WEIGHTS = np.stack([_GK_KRONROD, _GK_GAUSS], axis=1)
 _EPS = 2.0**-52  # QUADPACK's epmach
 
 # overlap_quadrature's absolute and relative tolerance (epsabs = epsrel)
 # and its largest panel count
 _QUAD_TOL = 1e-13
 _QUAD_LIMIT = 200
+
+# numpy is imported only where an array is built, so the closed forms run
+# without it; the rule's arrays are module attributes built on first access
+_GK_ARRAYS = ("_GK_NODES", "_GK_KRONROD", "_GK_WEIGHTS")
+
+
+@functools.cache
+def _gk_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule on all 21 nodes in ascending order: the nodes, the Kronrod
+    weights, and both weight sets as the Kronrod and Gauss columns."""
+    import numpy as np
+
+    nodes = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+    kronrod = np.array(_WGK[:-1] + _WGK[::-1])
+    gauss = np.zeros(21)
+    gauss[1:10:2] = _WG
+    gauss[11::2] = _WG[::-1]
+    return nodes, kronrod, np.stack([kronrod, gauss], axis=1)
+
+
+def __getattr__(name: str):
+    # check the name before building: import statements probe attributes
+    # such as __path__, and those must not load numpy
+    if name in _GK_ARRAYS:
+        return _gk_rule()[_GK_ARRAYS.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _trapezoid(y, x):
+    import numpy as np
+
+    # numpy < 2.0 has only the older name
+    return (getattr(np, "trapezoid", None) or np.trapz)(y, x)
 
 
 @dataclass(frozen=True)
@@ -93,6 +119,8 @@ class GaussianPacket:
             )
 
     def amplitude(self, nu):
+        import numpy as np
+
         w = self.width_hz
         x = (np.asarray(nu, dtype=float) - self.peak_hz) / (2.0 * w)
         return (2.0 * math.pi * w * w) ** -0.25 * np.exp(-x * x)
@@ -119,6 +147,8 @@ class TabulatedPacket:
     amp: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         freq = np.asarray(self.freq_hz, dtype=float)
         amp = np.asarray(self.amp, dtype=complex)
         if freq.ndim != 1 or freq.size < 4:
@@ -138,6 +168,8 @@ class TabulatedPacket:
             )
 
     def amplitude(self, nu):
+        import numpy as np
+
         nu = np.asarray(nu, dtype=float)
         re = np.interp(nu, self.freq_hz, self.amp.real, left=0.0, right=0.0)
         im = np.interp(nu, self.freq_hz, self.amp.imag, left=0.0, right=0.0)
@@ -178,6 +210,8 @@ def total_probability(packet: WavePacket) -> float:
     """integral |F|^2 dnu; exactly 1 for the Gaussian family by construction."""
     if isinstance(packet, GaussianPacket):
         return 1.0
+    import numpy as np
+
     return float(_trapezoid(np.abs(packet.amp) ** 2, packet.freq_hz))
 
 
@@ -188,6 +222,8 @@ def tabulate(packet: GaussianPacket) -> TabulatedPacket:
     to a visibly uneven spacing, so the samples are normalized on the
     grid they land on.
     """
+    import numpy as np
+
     lo, hi = packet.support()
     grid = np.linspace(lo, hi, int(2 * SUPPORT_SIGMAS * _POINTS_PER_WIDTH) + 1)
     return _normalized(grid, packet.amplitude(grid).astype(complex))
@@ -195,6 +231,8 @@ def tabulate(packet: GaussianPacket) -> TabulatedPacket:
 
 def _normalized(grid: np.ndarray, amp: np.ndarray) -> TabulatedPacket:
     """The packet with amplitudes amp scaled to unit probability on grid."""
+    import numpy as np
+
     norm = float(_trapezoid(np.abs(amp) ** 2, grid))
     return TabulatedPacket(grid, amp / math.sqrt(norm))
 
@@ -250,6 +288,8 @@ def overlap_quadrature(p1: WavePacket, p2: WavePacket) -> OverlapResult:
         return OverlapResult(delta=0.0, q=1.0, abserr=0.0)
 
     if isinstance(p1, GaussianPacket) and isinstance(p2, GaussianPacket):
+        import numpy as np
+
         # Quadrature nodes at absolute frequencies near a 1e14 Hz peak
         # are quantized in ~0.06 Hz steps, a visible fraction of a MHz
         # line, which caps the achievable accuracy near 1e-9.  Work in
@@ -306,6 +346,8 @@ def _gk21(f, edges) -> tuple[float, float]:
     summed estimate; it stays above the bound when the limit stops the
     refinement.
     """
+    import numpy as np
+
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
     value, err = _qk21(f, a, b)
@@ -328,11 +370,14 @@ def _gk21(f, edges) -> tuple[float, float]:
 
 def _qk21(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """QUADPACK's dqk21 on the panels [a_i, b_i]: integrals and error estimates."""
+    import numpy as np
+
+    nodes, kronrod_weights, weights = _gk_rule()
     half = 0.5 * (b - a)
-    fv = f((0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES)
-    kronrod, gauss = (fv @ _GK_WEIGHTS).T
-    resabs = (np.abs(fv) @ _GK_KRONROD) * half
-    resasc = (np.abs(fv - 0.5 * kronrod[:, None]) @ _GK_KRONROD) * half
+    fv = f((0.5 * (a + b))[:, None] + half[:, None] * nodes)
+    kronrod, gauss = (fv @ weights).T
+    resabs = (np.abs(fv) @ kronrod_weights) * half
+    resasc = (np.abs(fv - 0.5 * kronrod[:, None]) @ kronrod_weights) * half
     err = np.abs(kronrod - gauss) * half
     # err -> resasc min(1, (200 err / resasc)^1.5) where resasc > 0,
     # floored at 50 eps resabs
@@ -344,6 +389,8 @@ def _qk21(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _overlap_tabulated(p1: WavePacket, p2: WavePacket) -> OverlapResult:
+    import numpy as np
+
     # use the tabulated grid (or the finer of the two) as the common grid
     if isinstance(p1, TabulatedPacket) and isinstance(p2, TabulatedPacket):
         grid = p1.freq_hz if p1.freq_hz.size >= p2.freq_hz.size else p2.freq_hz
@@ -425,13 +472,13 @@ def read_packet_csv(path) -> TabulatedPacket:
             freqs.append(float(row["frequency_hz"]))
             im = float(row["amplitude_imag"]) if has_imag else 0.0
             amps.append(complex(float(row["amplitude_real"]), im))
-    return TabulatedPacket(np.asarray(freqs), np.asarray(amps))
+    return TabulatedPacket(freqs, amps)
 
 
 def write_packet_csv(packet: WavePacket, path) -> None:
     """Write a packet as CSV (Gaussians are sampled onto their support grid)."""
     tab = packet if isinstance(packet, TabulatedPacket) else tabulate(packet)
-    has_imag = bool(np.any(tab.amp.imag != 0.0))
+    has_imag = bool((tab.amp.imag != 0.0).any())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["frequency_hz", "amplitude_real"]

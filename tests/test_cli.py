@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +101,40 @@ def test_no_subcommand_imports_scipy(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+_NO_NUMPY = """
+import contextlib, io, sys
+import gravlink
+assert "numpy" not in sys.modules
+from gravlink import cli
+for argv, code in CALLS:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == code, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+
+
+def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
+    """numpy loads only where an array is built: the import and every
+    closed-form path run without it."""
+    config = tmp_path / "leo.json"
+    config.write_text(json.dumps({k: v for k, v in LEO_CONFIG.items() if k != "monte_carlo"}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(LEO_CONFIG, source={"peak_hz": 700e12, "width_hz": -1.0})))
+    calls = [
+        (["redshift", "--receiver", "iss"], 0),
+        (["overlap", "--receiver", "iss"], 0),
+        (["qber", "--q", "0.1"], 0),
+        (["run", str(config)], 0),
+        (["sweep", str(config), "--parameter", "q", "--grid", "0.1,0.2"], 0),
+        (["paper-table"], 0),
+        (["run", str(bad)], 1),
+    ]
+    proc = subprocess.run([sys.executable, "-c", f"CALLS = {calls!r}" + _NO_NUMPY],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class TestExitCodes:
     def test_missing_subcommand(self):
         assert run_cli().returncode == 1
@@ -135,6 +170,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_cmd_redshift", explode)
         assert cli.main(["redshift", "--receiver", "iss"]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "exc, code, numerical",
+        [(np.linalg.LinAlgError("singular matrix"), 2, True), (ValueError("bad value"), 1, False)],
+        ids=["LinAlgError", "ValueError"],
+    )
+    def test_linalg_failure_maps_to_two(self, monkeypatch, capsys, exc, code, numerical):
+        def explode(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_redshift", explode)
+        assert cli.main(["redshift", "--receiver", "iss"]) == code
+        err = capsys.readouterr().err
+        assert ("numerical failure" in err) is numerical
+        assert str(exc) in err
 
     def test_failed_table_row_maps_to_three(self, monkeypatch, capsys):
         row = {
@@ -191,7 +241,7 @@ class TestValidation:
         def no_allocation(*args, **kwargs):
             raise AssertionError("grid allocated")
 
-        monkeypatch.setattr(cli.np, "linspace", no_allocation)
+        monkeypatch.setattr(np, "linspace", no_allocation)
         proc = gravlink("sweep", str(leo_config), "--parameter", "q", "--grid", f"lin:0:1:{count}")
         self._rejected(proc, f"sweep.grid: COUNT must be <= 100000, got {int(count)}")
 
@@ -425,6 +475,16 @@ class TestCvHomodyne:
                     "--lo-peak-hz", "700.00001e12", "--lo-width-hz", "1e6")
         )
         assert all(r["x"] is None and not r["pass"] for r in rows)
+
+    def test_rounding_past_the_largest_float_writes_null(self, gravlink):
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        # V = 2 beta^2 = 1.7975e308 is finite and rounds to 1.80e308
+        proc = gravlink("cv-homodyne", "--alpha", "0", "--beta", "9.4803e153", "--precision", "3")
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout, parse_constant=refuse)["rows"]
+        assert [r["v"] for r in rows] == [None, None, None]
 
     def test_half_specified_lo_is_rejected(self, gravlink):
         proc = gravlink("cv-homodyne", "--alpha", "0.5", "--beta", "90",

@@ -19,11 +19,9 @@ from gravlink.scenario import render_csv, render_json
 
 def _old_json_safe(value, precision):
     if isinstance(value, float):
-        if math.isinf(value):
-            return None
         if precision is not None:
-            return float(f"{value:.{precision}g}")
-        return value
+            value = float(f"{value:.{precision}g}")
+        return None if math.isinf(value) else value
     if isinstance(value, dict):
         return {k: _old_json_safe(v, precision) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
