@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 from . import entangleswap
 from .cvhomodyne import HomodynePrep, curvature_invariance_report
@@ -541,11 +542,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_location) -> None:
+    # the library's warnings (the Body weak-field one) as one CLI line,
+    # without the source location Python would print
+    print(f"gravlink: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.handler(args)
     except ConfigError as exc:
         print(f"gravlink: {exc}", file=sys.stderr)
         return 1

@@ -31,6 +31,8 @@ from .spacetime import (
 from .wavepacket import (
     SOURCE_PRESETS,
     GaussianPacket,
+    _overlap_at_ratio,
+    _shift_terms,
     overlap_gaussian_closed,
 )
 
@@ -136,6 +138,20 @@ class ScenarioResult:
     redshift_ratio: float | None
     tags: dict[str, str] = field(default_factory=dict)
     extras: dict[str, float] = field(default_factory=dict)
+
+
+def _result(fields: dict) -> ScenarioResult:
+    """The ScenarioResult with these fields (RESULT_FIELDS, tags, extras,
+    in that order), set without the frozen __init__'s per-field
+    object.__setattr__ calls, which cost more than a sweep point's
+    arithmetic."""
+    result = object.__new__(ScenarioResult)
+    attributes = result.__dict__
+    # an update into an empty dict would copy the whole table of fields,
+    # and the instance dict would stop sharing its keys (3x the memory)
+    attributes["chi"] = None
+    attributes.update(fields)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +302,29 @@ def _parse_output(doc, path: str = "output") -> OutputSpec:
     return OutputSpec(format=fmt, path=out_path)
 
 
-def _check_station(body: Body, radius: float, path: str) -> None:
+def _check_station(body: Body, radius: float, motion: Motion, path: str) -> None:
     if not (radius >= body.radius):
         raise ConfigError(f"{path}: below the body surface r = {body.radius} m, got {radius}")
     if radius <= body.schwarzschild_radius:
         raise ConfigError(f"{path}: at or below the horizon")
+    # the bound spacetime._log_rate_factor enforces, in the same arithmetic
+    if motion is Motion.CIRCULAR_ORBIT and 3.0 * body.geometric_mass / radius >= 1.0:
+        raise ConfigError(
+            f"{path}: a circular orbit needs r > 1.5 r_s = {3.0 * body.geometric_mass} m,"
+            f" got {radius}"
+        )
 
 
 def _parse_link(body: Body, emitter_doc, receiver_doc) -> tuple[Observer, Observer]:
     """Parse both stations and check the link they form over body: a
-    static emitter, and neither station below the surface or the horizon."""
+    static emitter, neither station below the surface or the horizon,
+    and an orbiting receiver outside the photon sphere."""
     emitter = _parse_station(emitter_doc, "emitter")
     receiver = _parse_station(receiver_doc, "receiver")
     if emitter.motion is not Motion.STATIC:
         raise ConfigError("emitter.motion: orbiting emitters are not supported")
-    _check_station(body, emitter.radius, "emitter.radius_m")
-    _check_station(body, receiver.radius, "receiver.radius_m")
+    _check_station(body, emitter.radius, emitter.motion, "emitter.radius_m")
+    _check_station(body, receiver.radius, receiver.motion, "receiver.radius_m")
     return emitter, receiver
 
 
@@ -445,7 +468,7 @@ def _link_result(
             )
             tags["qber_mc"] = "empirical fraction of disagreeing sifted bits (seeded)"
 
-    return ScenarioResult(**values, tags=tags, extras=extras)
+    return _result({**values, "tags": tags, "extras": extras})
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -561,9 +584,12 @@ def reference_table() -> list[dict]:
 SWEEP_PARAMETERS = ("width_hz", "peak_hz", "receiver_radius_m", "q")
 
 # Largest accepted sweep grid: a 10^5-point receiver_radius_m sweep
-# prints 96 MB of JSON in about 4 s and 540 MB of memory on a 2-core
-# host, and the cost grows linearly from there.
+# prints 96 MB of JSON in about 6 s and 540 MB of memory on a 2-core
+# host in its slow regime, and the cost grows linearly from there.
 _MAX_GRID_POINTS = 100_000
+
+
+_Q_TAGS = {"Delta": "Delta = sqrt(1-q) (swept q, geometry bypassed)", "q": "swept input"}
 
 
 def _check_q(q: float) -> float:
@@ -573,30 +599,19 @@ def _check_q(q: float) -> float:
     return q
 
 
-def _result_from_q(config: ScenarioConfig, q: float) -> ScenarioResult:
-    _check_q(q)
-    delta_mode = math.sqrt(1.0 - q)
-    values: dict[str, float | None] = {name: None for name in RESULT_FIELDS}
-    values["Delta"] = delta_mode
-    values["q"] = q
-    tags = {"Delta": "Delta = sqrt(1-q) (swept q, geometry bypassed)", "q": "swept input"}
-    figures, figure_tags = PROTOCOL_TABLE[config.protocol.kind]
-    values.update(figures(delta_mode, q, config.protocol))
-    tags.update(figure_tags)
-    return ScenarioResult(**values, tags=tags, extras={})
-
-
 def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[ScenarioResult]:
     """One ScenarioResult per grid value, in grid order.
 
     parameter is one of width_hz, peak_hz (source), receiver_radius_m,
     or q (bypasses the geometry entirely; geometric fields come back
-    None).  A source sweep leaves the link alone, so its geometry is
-    computed once for the whole grid.  Monte Carlo settings are dropped
-    during sweeps to keep rows cheap and deterministic.  A grid value
-    outside the model's domain raises ConfigError naming its index,
-    sweep.grid[i]; a grid of more than _MAX_GRID_POINTS values raises it
-    for sweep.grid before any point runs.
+    None).  A source sweep leaves the link alone, so its geometry and
+    the shift's overlap terms are computed once for the whole grid, and
+    each point runs only its source checks, the overlap at its
+    peak/width ratio and the protocol figures.  Monte Carlo settings
+    are dropped during sweeps to keep rows cheap and deterministic.  A
+    grid value outside the model's domain raises ConfigError naming its
+    index, sweep.grid[i]; a grid of more than _MAX_GRID_POINTS values
+    raises it for sweep.grid before any point runs.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(
@@ -609,22 +624,58 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
     if len(grid) > _MAX_GRID_POINTS:
         raise ConfigError(f"sweep.grid: at most {_MAX_GRID_POINTS} points, got {len(grid)}")
     body, emitter, proto = config.body, config.emitter, config.protocol
+    peak, width = config.source.peak_hz, config.source.width_hz
+    # Rows share their tags, their figure function and, in a source sweep,
+    # the link and its shift terms, so these are worked out once.  Rows
+    # whose numbers are not functions of (Delta, q) (cv_homodyne), and
+    # source points on a link whose shift leaves the overlap's domain,
+    # take _link_result.
+    closed = proto.kind in PROTOCOL_TABLE
+    figures, figure_tags = PROTOCOL_TABLE[proto.kind] if closed else (None, {})
+    tags = {**(_Q_TAGS if parameter == "q" else _GEOMETRY_TAGS), **figure_tags}
+    empty = dict.fromkeys(RESULT_FIELDS)
+
+    def row(fields: dict, d: float, q: float) -> ScenarioResult:
+        # fields holds every RESULT_FIELDS key, in order
+        fields.update(figures(d, q, proto))
+        fields["tags"] = tags.copy()
+        fields["extras"] = {}
+        return _result(fields)
+
+    def link_row(geometry: _Geometry, terms, ratio: float) -> ScenarioResult:
+        link_ratio, shift, travel = geometry
+        d, q = _overlap_at_ratio(terms, ratio)
+        fields = {"chi": 1.0 / link_ratio, "delta": shift.delta, "Delta": d, "q": q,
+                  "fidelity": None, "negativity": None, "qber": None,
+                  "travel_time_s": travel, "redshift_ratio": link_ratio}
+        return row(fields, d, q)
 
     if parameter == "q":
         def point(value):
-            return _result_from_q(config, value)
+            d = math.sqrt(1.0 - _check_q(value))
+            return row({**empty, "Delta": d, "q": value}, d, value)
     elif parameter == "receiver_radius_m":
-        def point(value):
-            _check_station(body, value, "receiver.radius_m")
-            receiver = Observer(radius=value, motion=config.receiver.motion)
-            return _link_result(_link_geometry(body, emitter, receiver), config.source, proto)
-    else:
-        geometry = _link_geometry(body, emitter, config.receiver)
-        source_doc = {"peak_hz": config.source.peak_hz, "width_hz": config.source.width_hz}
+        motion = config.receiver.motion
 
         def point(value):
-            source = _parse_source({**source_doc, parameter: value})
-            return _link_result(geometry, source, proto)
+            _check_station(body, value, motion, "receiver.radius_m")
+            geometry = _link_geometry(body, emitter, Observer(radius=value, motion=motion))
+            if not closed:
+                return _link_result(geometry, config.source, proto)
+            return link_row(geometry, _shift_terms(geometry[1]), peak / width)
+    else:
+        geometry = _link_geometry(body, emitter, config.receiver)
+        closed = closed and geometry[1].delta < 1.0
+        terms = _shift_terms(geometry[1]) if closed else None
+
+        def point(value):
+            p, w = (value, width) if parameter == "peak_hz" else (peak, value)
+            if not (closed and 0.0 < p < math.inf and 0.0 < w < math.inf and p / w > 100.0):
+                # raises this point's error, or hands the source on
+                source = _parse_source({"peak_hz": p, "width_hz": w})
+                if not closed:
+                    return _link_result(geometry, source, proto)
+            return link_row(geometry, terms, p / w)
 
     results = []
     for index, value in enumerate(grid):
@@ -658,12 +709,31 @@ def render_json(rows: list[dict] | dict, precision: int | None = None) -> str:
     rounded document with every infinity replaced by None, written in
     one pass: each float is rounded and formatted once, and each
     distinct string, key list and all-string object (a row's tags) is
-    encoded once per call.  A value json cannot encode raises json's own
-    TypeError.
+    encoded once per call.  At precisions up to 15 a float's text is
+    format()'s rounded text, with ".0" added to a whole number; it is
+    parsed back and written by repr only when its exponent lies between
+    the precision and 15 or |v| < 1e-300.  A value json cannot encode
+    raises json's own TypeError.
     """
     float_repr = float.__repr__
-    # format(v, "") is repr(v) for a float
-    spec = "" if precision is None else f".{precision}g"
+    spec = f".{precision}g"
+
+    def rounded(v: float) -> str:
+        # Up to 15 significant digits a decimal survives the round trip
+        # through a normal double, so format's digits are repr's and only
+        # the notation can differ: repr writes exponents -4..15 in fixed
+        # point, format -4..precision-1.
+        if precision <= 15 and (v >= 1e-300 or v <= -1e-300 or v == 0.0):
+            text = format(v, spec)
+            if "e" not in text:
+                return text if "." in text else text + ".0"
+            if "e-" in text or int(text.partition("e+")[2]) >= 16:
+                return text
+            return float_repr(float(text))
+        return float_repr(float(format(v, spec)))
+
+    if precision is None:
+        rounded = float_repr
     strings: dict[str, str] = {}
     shapes: dict[tuple, list[str]] = {}  # (indent, keys) -> "{" or "," + indent + key + ": "
     string_objects: dict[tuple, str] = {}
@@ -671,7 +741,7 @@ def render_json(rows: list[dict] | dict, precision: int | None = None) -> str:
     def texts(values, inner: str) -> list[str]:
         # below 1e308 in magnitude a float stays finite when rounded
         return [
-            float_repr(float(format(v, spec)))
+            rounded(v)
             if type(v) is float and -1e308 < v < 1e308
             else "null" if v is None else value(v, inner)
             for v in values

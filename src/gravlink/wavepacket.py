@@ -433,22 +433,36 @@ def overlap_gaussian_closed(packet: GaussianPacket, shift: ShiftParameter) -> Ov
     The prefactor is evaluated as sqrt(1 - delta^2/(1 + k^2)) and q via
     expm1/log1p, so both stay exact down to delta ~ 1e-12: the overlap
     deficit 1 - Delta ~ 1e-20 regime underflows gracefully to q = 0
-    instead of drowning in cancellation.
+    instead of drowning in cancellation.  _shift_terms computes the
+    shift-only terms and _overlap_at_ratio the rest, so a sweep over
+    packets on one link computes the shift terms once.
     """
     if not isinstance(packet, GaussianPacket):
         raise TypeError("closed-form overlap needs a GaussianPacket")
+    value, q = _overlap_at_ratio(_shift_terms(shift), packet.peak_hz / packet.width_hz)
+    return OverlapResult(delta=value, q=q)
+
+
+_ShiftTerms = tuple[float, float, float, float]
+
+
+def _shift_terms(shift: ShiftParameter) -> _ShiftTerms:
+    """(delta, 1 + k^2, sqrt(1 - delta^2/(1 + k^2)), log1p(-delta^2/(1 + k^2)))."""
     delta = shift.delta
     if not (0.0 <= delta < 1.0):
         raise ValueError(f"shift.delta must lie in [0, 1), got {delta}")
     k = 1.0 - delta if shift.sign is Sign.UP else 1.0 + delta
     kk1 = 1.0 + k * k
-    ratio = packet.peak_hz / packet.width_hz
+    return delta, kk1, math.sqrt(1.0 - delta * delta / kk1), math.log1p(-delta * delta / kk1)
+
+
+def _overlap_at_ratio(terms: _ShiftTerms, ratio: float) -> tuple[float, float]:
+    """(Delta, q) for a packet of peak/width ratio under the shift terms."""
+    delta, kk1, prefactor, log_prefactor = terms
     arg = (delta * ratio) ** 2 / (4.0 * kk1)
-    value = math.sqrt(1.0 - delta * delta / kk1) * math.exp(-arg)
     # log |Delta|^2 keeps q accurate when Delta is within 1e-15 of 1
-    log_d2 = math.log1p(-delta * delta / kk1) - 2.0 * arg
-    q = -math.expm1(log_d2)
-    return OverlapResult(delta=value, q=min(max(q, 0.0), 1.0))
+    q = -math.expm1(log_prefactor - 2.0 * arg)
+    return prefactor * math.exp(-arg), min(max(q, 0.0), 1.0)
 
 
 def read_packet_csv(path) -> TabulatedPacket:

@@ -282,6 +282,37 @@ class TestValidation:
         path.write_text(json.dumps(dict(LEO_CONFIG, monte_carlo=monte_carlo)))
         self._rejected(gravlink("run", str(path)), field)
 
+    # r_s = 1485 m, so every orbit above this body's surface and inside
+    # its photon sphere (2228 m) also draws the weak-field warning
+    _COMPACT = {"body": {"mass_kg": 1e30, "radius_m": 1700}, "emitter": {"radius_m": 1700}}
+    _COMPACT_FLAGS = ("--mass-kg", "1e30", "--body-radius-m", "1700", "--receiver-motion", "orbit")
+
+    @staticmethod
+    def _photon_sphere_rejected(proc, prefix=""):
+        assert proc.returncode == 1 and proc.stdout == ""
+        warning, error = proc.stderr.splitlines()
+        assert warning.startswith("gravlink: warning: body radius 1700.0 m is within 1000")
+        assert error.startswith(f"gravlink: {prefix}receiver.radius_m: a circular orbit needs r > 1.5 r_s")
+        assert error.endswith("got 2000.0")
+
+    @pytest.mark.parametrize("command", ["redshift", "overlap", "entangle"])
+    def test_orbit_flags_inside_the_photon_sphere(self, gravlink, command):
+        proc = gravlink(command, *self._COMPACT_FLAGS, "--receiver-radius-m", "2000")
+        self._photon_sphere_rejected(proc)
+
+    def test_orbit_config_inside_the_photon_sphere(self, gravlink, tmp_path):
+        path = tmp_path / "compact.json"
+        path.write_text(json.dumps(dict(LEO_CONFIG, **self._COMPACT,
+                                        receiver={"radius_m": 2000, "motion": "orbit"})))
+        self._photon_sphere_rejected(gravlink("run", str(path)))
+
+    def test_sweep_into_the_photon_sphere(self, gravlink, tmp_path):
+        path = tmp_path / "compact.json"
+        path.write_text(json.dumps(dict(LEO_CONFIG, **self._COMPACT,
+                                        receiver={"radius_m": 3000, "motion": "orbit"})))
+        proc = gravlink("sweep", str(path), "--parameter", "receiver_radius_m", "--grid", "3000,2000")
+        self._photon_sphere_rejected(proc, prefix="sweep.grid[1]: ")
+
     def test_integer_past_the_digit_limit(self, gravlink, tmp_path):
         # json.load refuses integer literals of more than 4300 digits
         path = tmp_path / "long.json"
@@ -368,6 +399,16 @@ class TestExitCodeContract:
 
 
 class TestRedshift:
+    def test_weak_field_warning_is_one_cli_line(self, gravlink):
+        proc = gravlink("redshift", "--mass-kg", "1e30", "--body-radius-m", "1700",
+                        "--receiver-radius-m", "3000", "--receiver-motion", "orbit")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["rows"][0]["sign"] == "up"
+        assert proc.stderr == (
+            "gravlink: warning: body radius 1700.0 m is within 1000 Schwarzschild radii"
+            " (1485.232053823733 m); weak-field assumptions degrade\n"
+        )
+
     def test_json_row(self, gravlink):
         rows = _rows(gravlink("redshift", "--receiver", "iss", "--precision", "17"))
         row = rows[0]

@@ -55,6 +55,9 @@ _FORMATS = {
     "csv": ["--format", "csv"],
     "p17": ["--precision", "17"],
     "p3": ["--precision", "3"],
+    # 15 and 16 digits sit on either side of render_json's text-path switch
+    "p15": ["--precision", "15"],
+    "p16": ["--precision", "16"],
 }
 
 

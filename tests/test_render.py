@@ -135,6 +135,46 @@ def test_render_json_edge_floats_at_every_precision(precision):
     assert render_json(doc, precision) == _old_render_json(doc, precision)
 
 
+# Floats at the edges of render_json's text path, which takes precisions up
+# to 15 straight from format() when |v| >= 1e-300 or v is 0; the exponent
+# decides whether format's notation is also repr's.
+_NAMED_FLOATS = {
+    "subnormals": [5e-324, -5e-324, 1e-310, -4.9406564584124654e-322,
+                   2.225073858507201e-308, math.nextafter(2.2250738585072014e-308, 0.0)],
+    "1e-300-boundary": [1e-300, -1e-300, math.nextafter(1e-300, 0.0), math.nextafter(1e-300, 1.0),
+                        math.nextafter(-1e-300, 0.0), 1.00000000000049e-300],
+    "exponents-11-to-16": [sign * m * 10.0**e for e in range(11, 17) for m in (1.0, 1.23456789012345)
+                           for sign in (1.0, -1.0)],
+    "rounds-to-a-power-of-ten": [9.9999999999995e15, -9.9999999999995e15, 9.99999999999995e14,
+                                 999999999999.5, 9.9999999999995e-5, 9.99999999999999e15],
+    "negative-zero": [-0.0, 0.0, [-0.0], {"z": -0.0}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED_FLOATS))
+def test_render_json_named_edge_floats(name):
+    values = _NAMED_FLOATS[name]
+    for precision in (None, *range(1, 18)):
+        assert render_json(values, precision) == _old_render_json(values, precision), precision
+
+
+@pytest.mark.parametrize(
+    "value, precision, text",
+    [
+        (9.9999999999995e15, 12, "1e+16"),  # rounds to exponent 16: repr's notation too
+        (1.23456789012345e15, 12, "1234567890120000.0"),  # format: 1.23456789012e+15
+        (1.23456789012345e11, 12, "123456789012.0"),  # fixed text with no point
+        (1e11, 12, "100000000000.0"),
+        (2.5e-16, 12, "2.5e-16"),
+        (-0.0, 12, "-0.0"),
+        (5e-324, 2, "5e-324"),  # format: 4.9e-324, which parses back to 5e-324
+        (1e-300, 15, "1e-300"),
+    ],
+)
+def test_render_json_float_texts(value, precision, text):
+    assert render_json(value, precision) == text + "\n"
+
+
 @pytest.mark.parametrize(
     "doc",
     [{"a": [1.0, object()]}, [1.0 + 2.0j], {"k": np.float32(1.0)}, {(1, 2): 1.0}, {"n": 10**5000}],

@@ -3,10 +3,12 @@ sweeps, rendering, and the reference comparison table."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gravlink import (
     Body,
@@ -33,6 +35,11 @@ from gravlink.scenario import (
 
 Q_LEO = 0.0025083294283674017
 TRAVEL_CURVED = 0.0013342563825941988
+
+# r_s = 1485 m: an orbit at 2000 m is above this body's surface and
+# horizon but inside its photon sphere, r = 1.5 r_s = 2228 m
+COMPACT_LINK = {"body": {"mass_kg": 1e30, "radius_m": 1700.0}, "emitter": {"radius_m": 1700.0}}
+PHOTON_SPHERE_ERROR = r"receiver\.radius_m: a circular orbit needs r > 1\.5 r_s = 2227\.848\d* m, got 2000\.0$"
 
 
 def base_config() -> dict:
@@ -131,6 +138,31 @@ class TestParsing:
         assert parse_config(cfg).receiver.radius == 6_371_000.0
         cfg["receiver"] = {"radius_m": math.inf}
         assert parse_config(cfg).receiver.radius == math.inf
+
+    @pytest.mark.filterwarnings("ignore:body radius")
+    def test_orbit_inside_the_photon_sphere_names_the_receiver(self):
+        cfg = dict(base_config(), **COMPACT_LINK, receiver={"radius_m": 2000.0, "motion": "orbit"})
+        with pytest.raises(ConfigError, match="^" + PHOTON_SPHERE_ERROR):
+            parse_config(cfg)
+        cfg["receiver"] = {"radius_m": 2000.0, "motion": "static"}
+        assert parse_config(cfg).receiver.radius == 2000.0
+
+    @pytest.mark.filterwarnings("ignore:body radius")
+    def test_photon_sphere_bound_is_the_geometry_bound(self):
+        # the validator rejects exactly the orbits spacetime refuses
+        body = Body(mass=1e30, radius=1700.0)
+        sphere = 3.0 * body.geometric_mass
+        for radius in (sphere, math.nextafter(sphere, 0.0), math.nextafter(sphere, math.inf)):
+            cfg = dict(base_config(), **COMPACT_LINK, receiver={"radius_m": radius, "motion": "orbit"})
+            receiver = Observer(radius, Motion.CIRCULAR_ORBIT)
+            if radius > sphere:
+                assert parse_config(cfg).receiver == receiver
+                redshift_total(body, Observer(1700.0), receiver)
+            else:
+                with pytest.raises(ConfigError, match=r"1\.5 r_s"):
+                    parse_config(cfg)
+                with pytest.raises(ValueError, match=r"1\.5 r_s"):
+                    redshift_total(body, Observer(1700.0), receiver)
 
     def test_monte_carlo_integers_keep_their_exact_value(self):
         cfg = base_config()
@@ -330,17 +362,67 @@ class TestSweep:
         ],
     )
     @pytest.mark.parametrize("protocol", [{"kind": "tmss", "s": 0.7},
-                                          {"kind": "cv_homodyne", "alpha": 0.5, "beta": 30.0}])
+                                          {"kind": "cv_homodyne", "alpha": 0.5, "beta": 30.0},
+                                          {"kind": "single_photon"},
+                                          {"kind": "coherent", "alpha": 1.5},
+                                          {"kind": "entangle_qkd"}])
     def test_sweep_rows_equal_runs_of_the_edited_config(self, parameter, grid, protocol):
         doc = dict(base_config(), protocol=protocol)
         rows = sweep(parse_config(doc), parameter, grid)
+        assert len(rows) == len(grid)
+        assert len({id(row.tags) for row in rows}) == len(rows)  # no row shares another's tags
         for value, row in zip(grid, rows):
-            edited = dict(doc)
-            if parameter == "receiver_radius_m":
-                edited["receiver"] = {"radius_m": value, "motion": "orbit"}
-            else:
-                edited["source"] = {"peak_hz": 700e12, "width_hz": 1e6, parameter: value}
-            assert row == run_scenario(parse_config(edited))
+            assert _field_reprs(row) == _field_reprs(run_scenario(_edited(doc, parameter, value)))
+
+    @given(
+        st.sampled_from(["width_hz", "peak_hz"]),
+        st.lists(
+            st.floats(1e4, 1e13) | st.floats(1e13, 1e16) | st.floats()
+            | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 7e12, 1e8]),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([{"kind": "tmss", "s": 0.7}, {"kind": "single_photon"},
+                         {"kind": "coherent", "alpha": 1.5}, {"kind": "entangle_qkd"},
+                         {"kind": "cv_homodyne", "alpha": 0.5, "beta": 30.0}]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_source_sweeps_equal_runs_of_the_edited_config(self, parameter, grid, protocol):
+        # the first point outside the domain fails as a run of the edited
+        # config does, a ConfigError with the point's index in front; every
+        # row before it equals a run
+        doc = dict(base_config(), protocol=protocol)
+        expected = []
+        for index, value in enumerate(grid):
+            try:
+                expected.append(_field_reprs(run_scenario(_edited(doc, parameter, value))))
+            except (ConfigError, ArithmeticError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    sweep(parse_config(doc), parameter, grid)
+                prefix = f"sweep.grid[{index}]: " if isinstance(exc, ConfigError) else ""
+                assert str(got.value) == prefix + str(exc)
+                return
+        assert [_field_reprs(row) for row in sweep(parse_config(doc), parameter, grid)] == expected
+
+    @pytest.mark.filterwarnings("ignore:body radius")
+    def test_source_sweep_past_the_overlap_domain_fails_point_by_point(self):
+        # just outside the photon sphere the shift parameter exceeds 1:
+        # each point checks its source before the overlap refuses the shift
+        config = parse_config(dict(base_config(), **COMPACT_LINK,
+                                   receiver={"radius_m": 2230.0, "motion": "orbit"}))
+        with pytest.raises(ValueError, match=r"^shift\.delta must lie in \[0, 1\)") as run_error:
+            run_scenario(config)
+        with pytest.raises(ConfigError, match=r"^sweep\.grid\[0\]: source: peak_hz/width_hz"):
+            sweep(config, "width_hz", [1e13, 1e6])
+        with pytest.raises(ValueError) as sweep_error:
+            sweep(config, "width_hz", [1e6, 1e13])
+        assert str(sweep_error.value) == str(run_error.value)
+
+    @pytest.mark.filterwarnings("ignore:body radius")
+    def test_orbits_inside_the_photon_sphere_name_their_index(self):
+        cfg = dict(base_config(), **COMPACT_LINK, receiver={"radius_m": 3000.0, "motion": "orbit"})
+        with pytest.raises(ConfigError, match=r"^sweep\.grid\[1\]: " + PHOTON_SPHERE_ERROR):
+            sweep(parse_config(cfg), "receiver_radius_m", [3000.0, 2000.0])
 
     def test_source_sweeps_compute_the_geometry_once(self, monkeypatch):
         from gravlink import scenario
@@ -380,6 +462,18 @@ class TestSweep:
                 assert getattr(row, name) is None
             else:
                 assert getattr(row, name) == pytest.approx(getattr(res, name), rel=1e-15)
+
+
+def _edited(doc: dict, parameter: str, value: float):
+    """The config a sweep point stands for: doc with the swept value."""
+    if parameter == "receiver_radius_m":
+        return parse_config(dict(doc, receiver={"radius_m": value, "motion": "orbit"}))
+    return parse_config(dict(doc, source={"peak_hz": 700e12, "width_hz": 1e6, parameter: value}))
+
+
+def _field_reprs(result) -> dict:
+    # repr tells -0.0 from 0.0, which == does not
+    return {f.name: repr(getattr(result, f.name)) for f in dataclasses.fields(result)}
 
 
 class TestReferenceTable:
