@@ -29,6 +29,7 @@ from .scenario import (
     ScenarioResult,
     _MAX_GRID_POINTS,
     _check_q,
+    _link_geometry,
     _parse_body,
     _parse_link,
     _parse_monte_carlo,
@@ -250,7 +251,7 @@ def _cmd_overlap(args) -> int:
             raise ConfigError(f"delta: must lie in [0, 1), got {args.delta}")
         shift = ShiftParameter(delta=args.delta, sign=Sign(args.sign))
     else:
-        shift = shift_parameter(*_link(args, " (or --delta)"))
+        shift = _link_geometry(*_link(args, " (or --delta)"))[1]
     closed = overlap_gaussian_closed(packet, shift)
     row = {
         "delta": shift.delta,
@@ -286,7 +287,7 @@ def _cmd_overlap(args) -> int:
 def _q_from_args(args) -> float:
     if args.q is not None:
         return _check_q(args.q)
-    shift = shift_parameter(*_link(args, " (or --q)"))
+    shift = _link_geometry(*_link(args, " (or --q)"))[1]
     return overlap_gaussian_closed(_source(args), shift).q
 
 

@@ -33,7 +33,7 @@ from .wavepacket import (
     GaussianPacket,
     _overlap_at_ratio,
     _shift_terms,
-    overlap_gaussian_closed,
+    _ShiftTerms,
 )
 
 __all__ = [
@@ -410,71 +410,76 @@ PROTOCOL_TABLE = {
 }
 
 
-_Geometry = tuple[float, ShiftParameter, float]
+# Every tag of a link row, per protocol kind, in output order.
+_LINK_TAGS = {kind: {**_GEOMETRY_TAGS, **tags} for kind, (_, tags) in PROTOCOL_TABLE.items()}
+_LINK_TAGS["cv_homodyne"] = {
+    **_GEOMETRY_TAGS,
+    "fidelity": "received signal/LO mode overlap (1: homodyne unaffected)",
+    "x": "X = 2 Re(alpha conj(beta))",
+    "v": "V = 2 |beta|^2 for |beta| >= 10 |alpha|, else exact",
+    "exact_v": "V_exact = 2 (|beta|^2 + |alpha|^2)",
+}
+
+_Geometry = tuple[float, ShiftParameter, float, _ShiftTerms]
 
 
 def _link_geometry(body: Body, emitter: Observer, receiver: Observer) -> _Geometry:
-    """What a link gives every source sent over it: (redshift_ratio,
-    shift, travel_time_s)."""
+    """What a link gives every source sent over it: (redshift_ratio, shift,
+    travel_time_s, overlap terms); delta >= 1 is the receiver's error."""
+    shift = shift_parameter(body, emitter, receiver)
+    if not shift.delta < 1.0:
+        raise ConfigError(
+            f"receiver.radius_m: the link's shift parameter delta = {shift.delta}"
+            " leaves the closed-form overlap's domain [0, 1)"
+        )
     return (
         redshift_total(body, emitter, receiver),
-        shift_parameter(body, emitter, receiver),
+        shift,
         coordinate_travel_time(body, emitter.radius, receiver.radius),
+        _shift_terms(shift),
     )
 
 
 def _link_result(
     geometry: _Geometry,
-    source: GaussianPacket,
+    peak: float,
+    width: float,
     proto: Protocol,
     monte_carlo: MonteCarloSpec | None = None,
 ) -> ScenarioResult:
-    """One source over a link of known geometry: overlap -> protocol."""
-    ratio, shift, travel = geometry
+    """A source of this peak and width over a link of known geometry:
+    overlap -> protocol.  Every link row, run or sweep point, is built
+    here."""
+    ratio, shift, travel, terms = geometry
     chi = 1.0 / ratio
-    overlap = overlap_gaussian_closed(source, shift)
-    tags = dict(_GEOMETRY_TAGS)
-    values: dict[str, float | None] = {
-        "chi": chi,
-        "delta": shift.delta,
-        "Delta": float(overlap.delta),
-        "q": overlap.q,
-        "fidelity": None,
-        "negativity": None,
-        "qber": None,
-        "travel_time_s": travel,
-        "redshift_ratio": ratio,
-    }
-    extras: dict[str, float] = {}
-
+    d, q = _overlap_at_ratio(terms, peak / width)
+    # every RESULT_FIELDS key, in order, then tags and extras
+    fields = {"chi": chi, "delta": shift.delta, "Delta": d, "q": q,
+              "fidelity": None, "negativity": None, "qber": None,
+              "travel_time_s": travel, "redshift_ratio": ratio,
+              "tags": _LINK_TAGS[proto.kind].copy(), "extras": {}}
     if proto.kind == "cv_homodyne":
-        values["fidelity"] = _received_overlap(source, source, chi)
-        tags["fidelity"] = "received signal/LO mode overlap (1: homodyne unaffected)"
-        prep = HomodynePrep(alpha=proto.alpha, beta=proto.beta)
-        hom = homodyne_expectation(prep)
-        extras["x"] = hom.x
-        extras["v"] = hom.v
-        extras["exact_v"] = hom.exact_v
-        tags["x"] = "X = 2 Re(alpha conj(beta))"
-        tags["v"] = "V = 2 |beta|^2 for |beta| >= 10 |alpha|, else exact"
-        tags["exact_v"] = "V_exact = 2 (|beta|^2 + |alpha|^2)"
+        source = GaussianPacket(peak_hz=peak, width_hz=width)
+        fields["fidelity"] = _received_overlap(source, source, chi)
+        hom = homodyne_expectation(HomodynePrep(alpha=proto.alpha, beta=proto.beta))
+        fields["extras"] = {"x": hom.x, "v": hom.v, "exact_v": hom.exact_v}
     else:
-        figures, figure_tags = PROTOCOL_TABLE[proto.kind]
-        values.update(figures(values["Delta"], overlap.q, proto))
-        tags.update(figure_tags)
+        fields.update(PROTOCOL_TABLE[proto.kind][0](d, q, proto))
         if proto.kind == "entangle_qkd" and monte_carlo is not None:
-            extras["qber_mc"] = entangleswap.qber_monte_carlo(
-                overlap.q, monte_carlo.trials, monte_carlo.seed
+            fields["extras"]["qber_mc"] = entangleswap.qber_monte_carlo(
+                q, monte_carlo.trials, monte_carlo.seed
             )
-            tags["qber_mc"] = "empirical fraction of disagreeing sifted bits (seeded)"
-
-    return _result({**values, "tags": tags, "extras": extras})
+            fields["tags"]["qber_mc"] = "empirical fraction of disagreeing sifted bits (seeded)"
+    return _result(fields)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Chain geometry -> overlap -> protocol for one configuration."""
     geometry = _link_geometry(config.body, config.emitter, config.receiver)
-    return _link_result(geometry, config.source, config.protocol, config.monte_carlo)
+    source = config.source
+    return _link_result(
+        geometry, source.peak_hz, source.width_hz, config.protocol, config.monte_carlo
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +609,10 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
 
     parameter is one of width_hz, peak_hz (source), receiver_radius_m,
     or q (bypasses the geometry entirely; geometric fields come back
-    None).  A source sweep leaves the link alone, so its geometry and
-    the shift's overlap terms are computed once for the whole grid, and
-    each point runs only its source checks, the overlap at its
-    peak/width ratio and the protocol figures.  Monte Carlo settings
+    None).  Other points are _link_result rows, as runs are.  A source
+    sweep computes the link's geometry and shift terms once for the
+    whole grid, and each point runs only its source checks, the overlap
+    at its peak/width ratio and the protocol figures.  Monte Carlo settings
     are dropped during sweeps to keep rows cheap and deterministic.  A
     grid value outside the model's domain raises ConfigError naming its
     index, sweep.grid[i]; a grid of more than _MAX_GRID_POINTS values
@@ -625,57 +630,30 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
         raise ConfigError(f"sweep.grid: at most {_MAX_GRID_POINTS} points, got {len(grid)}")
     body, emitter, proto = config.body, config.emitter, config.protocol
     peak, width = config.source.peak_hz, config.source.width_hz
-    # Rows share their tags, their figure function and, in a source sweep,
-    # the link and its shift terms, so these are worked out once.  Rows
-    # whose numbers are not functions of (Delta, q) (cv_homodyne), and
-    # source points on a link whose shift leaves the overlap's domain,
-    # take _link_result.
-    closed = proto.kind in PROTOCOL_TABLE
-    figures, figure_tags = PROTOCOL_TABLE[proto.kind] if closed else (None, {})
-    tags = {**(_Q_TAGS if parameter == "q" else _GEOMETRY_TAGS), **figure_tags}
-    empty = dict.fromkeys(RESULT_FIELDS)
-
-    def row(fields: dict, d: float, q: float) -> ScenarioResult:
-        # fields holds every RESULT_FIELDS key, in order
-        fields.update(figures(d, q, proto))
-        fields["tags"] = tags.copy()
-        fields["extras"] = {}
-        return _result(fields)
-
-    def link_row(geometry: _Geometry, terms, ratio: float) -> ScenarioResult:
-        link_ratio, shift, travel = geometry
-        d, q = _overlap_at_ratio(terms, ratio)
-        fields = {"chi": 1.0 / link_ratio, "delta": shift.delta, "Delta": d, "q": q,
-                  "fidelity": None, "negativity": None, "qber": None,
-                  "travel_time_s": travel, "redshift_ratio": link_ratio}
-        return row(fields, d, q)
-
     if parameter == "q":
+        figures, figure_tags = PROTOCOL_TABLE[proto.kind]
+        tags = {**_Q_TAGS, **figure_tags}
+        empty = dict.fromkeys(RESULT_FIELDS)
+
         def point(value):
             d = math.sqrt(1.0 - _check_q(value))
-            return row({**empty, "Delta": d, "q": value}, d, value)
+            return _result({**empty, "Delta": d, "q": value, **figures(d, value, proto),
+                            "tags": tags.copy(), "extras": {}})
     elif parameter == "receiver_radius_m":
         motion = config.receiver.motion
 
         def point(value):
             _check_station(body, value, motion, "receiver.radius_m")
             geometry = _link_geometry(body, emitter, Observer(radius=value, motion=motion))
-            if not closed:
-                return _link_result(geometry, config.source, proto)
-            return link_row(geometry, _shift_terms(geometry[1]), peak / width)
+            return _link_result(geometry, peak, width, proto)
     else:
         geometry = _link_geometry(body, emitter, config.receiver)
-        closed = closed and geometry[1].delta < 1.0
-        terms = _shift_terms(geometry[1]) if closed else None
 
         def point(value):
             p, w = (value, width) if parameter == "peak_hz" else (peak, value)
-            if not (closed and 0.0 < p < math.inf and 0.0 < w < math.inf and p / w > 100.0):
-                # raises this point's error, or hands the source on
-                source = _parse_source({"peak_hz": p, "width_hz": w})
-                if not closed:
-                    return _link_result(geometry, source, proto)
-            return link_row(geometry, terms, p / w)
+            if not (0.0 < p < math.inf and 0.0 < w < math.inf and p / w > 100.0):
+                _parse_source({"peak_hz": p, "width_hz": w})  # raises this point's error
+            return _link_result(geometry, p, w, proto)
 
     results = []
     for index, value in enumerate(grid):

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .fidelity import _square
 from .spacetime import ShiftParameter, Sign
 
 if TYPE_CHECKING:
@@ -60,10 +61,6 @@ _EPS = 2.0**-52  # QUADPACK's epmach
 _QUAD_TOL = 1e-13
 _QUAD_LIMIT = 200
 
-# numpy is imported only where an array is built, so the closed forms run
-# without it; the rule's arrays are module attributes built on first access
-_GK_ARRAYS = ("_GK_NODES", "_GK_KRONROD", "_GK_WEIGHTS")
-
 
 @functools.cache
 def _gk_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,14 +74,6 @@ def _gk_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gauss[1:10:2] = _WG
     gauss[11::2] = _WG[::-1]
     return nodes, kronrod, np.stack([kronrod, gauss], axis=1)
-
-
-def __getattr__(name: str):
-    # check the name before building: import statements probe attributes
-    # such as __path__, and those must not load numpy
-    if name in _GK_ARRAYS:
-        return _gk_rule()[_GK_ARRAYS.index(name)]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _trapezoid(y, x):
@@ -459,7 +448,9 @@ def _shift_terms(shift: ShiftParameter) -> _ShiftTerms:
 def _overlap_at_ratio(terms: _ShiftTerms, ratio: float) -> tuple[float, float]:
     """(Delta, q) for a packet of peak/width ratio under the shift terms."""
     delta, kk1, prefactor, log_prefactor = terms
-    arg = (delta * ratio) ** 2 / (4.0 * kk1)
+    # no shift leaves a packet as sent, even at ratio inf (0 * inf is NaN); a
+    # square past the float range is inf, which gives Delta = 0 and q = 1
+    arg = _square(delta * ratio) / (4.0 * kk1) if delta else 0.0
     # log |Delta|^2 keeps q accurate when Delta is within 1e-15 of 1
     q = -math.expm1(log_prefactor - 2.0 * arg)
     return prefactor * math.exp(-arg), min(max(q, 0.0), 1.0)

@@ -313,6 +313,42 @@ class TestValidation:
         proc = gravlink("sweep", str(path), "--parameter", "receiver_radius_m", "--grid", "3000,2000")
         self._photon_sphere_rejected(proc, prefix="sweep.grid[1]: ")
 
+    # an orbit just outside this body's photon sphere: delta = 2.38, past
+    # the closed-form overlap's domain [0, 1)
+    @staticmethod
+    def _overlap_domain_rejected(proc, prefix=""):
+        assert proc.returncode == 1 and proc.stdout == ""
+        warning, error = proc.stderr.splitlines()
+        assert warning.startswith("gravlink: warning: body radius 1700.0 m is within 1000")
+        assert error.startswith(
+            f"gravlink: {prefix}receiver.radius_m: the link's shift parameter delta = 2.38"
+        )
+        assert error.endswith(" leaves the closed-form overlap's domain [0, 1)")
+
+    @pytest.mark.parametrize("command", ["overlap", "entangle"])
+    def test_orbit_flags_past_the_overlap_domain(self, gravlink, command):
+        proc = gravlink(command, *self._COMPACT_FLAGS, "--receiver-radius-m", "2230")
+        self._overlap_domain_rejected(proc)
+
+    def test_redshift_reports_a_link_past_the_overlap_domain(self, gravlink):
+        proc = gravlink("redshift", *self._COMPACT_FLAGS, "--receiver-radius-m", "2230")
+        assert _rows(proc)[0]["delta"] > 1.0
+
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["run"], ""),
+            (["sweep", "--parameter", "width_hz", "--grid", "1e6,1e13"], ""),
+            (["sweep", "--parameter", "receiver_radius_m", "--grid", "3000,2230"], "sweep.grid[1]: "),
+        ],
+        ids=["run", "sweep-width_hz", "sweep-receiver_radius_m"],
+    )
+    def test_config_past_the_overlap_domain(self, gravlink, tmp_path, argv, prefix):
+        path = tmp_path / "compact.json"
+        path.write_text(json.dumps(dict(LEO_CONFIG, **self._COMPACT,
+                                        receiver={"radius_m": 2230, "motion": "orbit"})))
+        self._overlap_domain_rejected(gravlink(argv[0], str(path), *argv[1:]), prefix)
+
     def test_integer_past_the_digit_limit(self, gravlink, tmp_path):
         # json.load refuses integer literals of more than 4300 digits
         path = tmp_path / "long.json"
@@ -587,6 +623,32 @@ class TestRunAndSweep:
         assert [r["negativity"] for r in rows] == pytest.approx(
             [0.5, 0.353553390593, 0.0]
         )
+
+    def test_peak_past_the_float_square(self, gravlink, tmp_path):
+        # (delta peak/width)^2 overflows a float: the overlap underflows to 0
+        path = tmp_path / "far_peak.json"
+        path.write_text(json.dumps(dict(LEO_CONFIG, source={"peak_hz": 1e170, "width_hz": 1e6})))
+        proc = gravlink("run", str(path))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert (doc["Delta"], doc["q"]) == (0.0, 1.0)
+        rows = _rows(gravlink("sweep", str(path), "--parameter", "peak_hz", "--grid", "7e14,1e170"))
+        assert (rows[1]["Delta"], rows[1]["q"]) == (0.0, 1.0)
+
+    def test_flat_link_at_an_infinite_ratio(self, gravlink, tmp_path):
+        # peak/width overflows to inf; with no shift the packet arrives as sent
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(dict(LEO_CONFIG, body={"mass_kg": 0, "radius_m": 6.371e6},
+                                        source={"peak_hz": 1e300, "width_hz": 1e-10})))
+        run = gravlink("run", str(path))
+        assert run.returncode == 0, run.stderr
+        rows = [json.loads(run.stdout)]
+        rows += _rows(gravlink("sweep", str(path), "--parameter", "width_hz", "--grid", "1e-10,1e6"))
+        for row in rows:
+            assert (row["Delta"], row["q"], row["fidelity"]) == (1.0, 0.0, 1.0)
+        csv_text = gravlink("sweep", str(path), "--parameter", "width_hz", "--grid", "1e-10",
+                            "--format", "csv").stdout
+        assert "nan" not in csv_text and csv_text.endswith("1.0,0.0,1.0,0.0,1.0,0.5,0.0,0.0013342563807926082,1.0\n")
 
     def test_sweep_bad_grid(self, gravlink, leo_config):
         proc = gravlink("sweep", str(leo_config), "--parameter", "q", "--grid", "log:1:2")

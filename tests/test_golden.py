@@ -41,6 +41,8 @@ CLI_CONFIGS = {
     },
     "entangle_qkd": dict(_LINK, protocol="entangle_qkd", monte_carlo={"trials": 20_000, "seed": 7}),
     "cv_homodyne": dict(_LINK, protocol={"kind": "cv_homodyne", "alpha": 0.5, "beta": 30.0}),
+    # a massless body: delta = 0 exactly, swept to peak/width ratios of 7e175
+    "flat": dict(_LINK, body={"mass_kg": 0.0, "radius_m": 6.371e6}, protocol="entangle_qkd"),
 }
 
 _SWEEPS = {
@@ -72,7 +74,11 @@ def _cli_cases() -> dict[str, list[str]]:
             "sweep", "{cv_homodyne}", "--parameter", "width_hz", "--grid", "1e5,1e6,1e7",
             *_FORMATS[label],
         ]
-    for kind in CLI_CONFIGS:
+        cases[f"sweep-flat-width_hz-{label}"] = [
+            "sweep", "{flat}", "--parameter", "width_hz", "--grid", "1e-161,1e-10,1e6,1e12",
+            *_FORMATS[label],
+        ]
+    for kind in CLI_CONFIGS.keys() - {"flat"}:
         for label in ("json", "csv"):
             cases[f"run-{kind}-{label}"] = ["run", "{" + kind + "}", *_FORMATS[label]]
     cases["overlap-quadrature"] = ["overlap", "--receiver", "iss", "--quadrature"]

@@ -378,20 +378,24 @@ class TestSweep:
         st.sampled_from(["width_hz", "peak_hz"]),
         st.lists(
             st.floats(1e4, 1e13) | st.floats(1e13, 1e16) | st.floats()
-            | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 7e12, 1e8]),
+            | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 7e12, 1e8])
+            # peak/width ratios past 1e154, where (delta ratio)^2 overflows, and inf
+            | st.floats(1e160, 1.7e308) | st.floats(5e-324, 1e-140),
             min_size=1,
             max_size=6,
         ),
         st.sampled_from([{"kind": "tmss", "s": 0.7}, {"kind": "single_photon"},
                          {"kind": "coherent", "alpha": 1.5}, {"kind": "entangle_qkd"},
                          {"kind": "cv_homodyne", "alpha": 0.5, "beta": 30.0}]),
+        # a massless body has delta = 0 exactly
+        st.sampled_from(["earth", {"mass_kg": 0.0, "radius_m": 6_371_000.0}]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_source_sweeps_equal_runs_of_the_edited_config(self, parameter, grid, protocol):
+    def test_source_sweeps_equal_runs_of_the_edited_config(self, parameter, grid, protocol, body):
         # the first point outside the domain fails as a run of the edited
         # config does, a ConfigError with the point's index in front; every
         # row before it equals a run
-        doc = dict(base_config(), protocol=protocol)
+        doc = dict(base_config(), protocol=protocol, body=body)
         expected = []
         for index, value in enumerate(grid):
             try:
@@ -405,18 +409,21 @@ class TestSweep:
         assert [_field_reprs(row) for row in sweep(parse_config(doc), parameter, grid)] == expected
 
     @pytest.mark.filterwarnings("ignore:body radius")
-    def test_source_sweep_past_the_overlap_domain_fails_point_by_point(self):
-        # just outside the photon sphere the shift parameter exceeds 1:
-        # each point checks its source before the overlap refuses the shift
+    def test_links_past_the_overlap_domain_fail_at_the_receiver(self):
+        # just outside the photon sphere the shift parameter exceeds 1, the
+        # closed-form overlap's domain: a source sweep fails at its link
+        # before any point, a radius sweep at the point that reaches it
         config = parse_config(dict(base_config(), **COMPACT_LINK,
                                    receiver={"radius_m": 2230.0, "motion": "orbit"}))
-        with pytest.raises(ValueError, match=r"^shift\.delta must lie in \[0, 1\)") as run_error:
+        message = (r"receiver\.radius_m: the link's shift parameter delta = 2\.38259387433448\d*"
+                   r" leaves the closed-form overlap's domain \[0, 1\)$")
+        with pytest.raises(ConfigError, match="^" + message):
             run_scenario(config)
-        with pytest.raises(ConfigError, match=r"^sweep\.grid\[0\]: source: peak_hz/width_hz"):
-            sweep(config, "width_hz", [1e13, 1e6])
-        with pytest.raises(ValueError) as sweep_error:
-            sweep(config, "width_hz", [1e6, 1e13])
-        assert str(sweep_error.value) == str(run_error.value)
+        for grid in ([1e13, 1e6], [1e6, 1e13]):
+            with pytest.raises(ConfigError, match="^" + message):
+                sweep(config, "width_hz", grid)
+        with pytest.raises(ConfigError, match=r"^sweep\.grid\[1\]: " + message):
+            sweep(config, "receiver_radius_m", [3000.0, 2230.0])
 
     @pytest.mark.filterwarnings("ignore:body radius")
     def test_orbits_inside_the_photon_sphere_name_their_index(self):

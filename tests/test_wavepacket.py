@@ -23,7 +23,13 @@ from gravlink import (
     tabulate,
     write_packet_csv,
 )
-from gravlink.wavepacket import _GK_NODES, _GK_WEIGHTS, _gk21, total_probability
+from gravlink.wavepacket import (
+    _gk21,
+    _gk_rule,
+    _overlap_at_ratio,
+    _shift_terms,
+    total_probability,
+)
 
 SPDC = GaussianPacket(peak_hz=700e12, width_hz=1e6)
 RB = GaussianPacket(peak_hz=380e12, width_hz=5e6)
@@ -113,6 +119,25 @@ class TestClosedForm:
         assert big.delta <= small.delta
         assert big.q >= small.q
         assert 0.0 <= big.delta <= 1.0
+
+    @given(
+        st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([Sign.UP, Sign.DOWN]),
+        st.just(math.inf) | st.floats(1e154, 1e308) | st.floats(100.0, math.inf, exclude_min=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_overlap_at_any_ratio_stays_in_range(self, delta, sign, ratio):
+        # the square of delta * ratio overflows past ratio ~ 1e154/delta, and
+        # an infinite ratio times delta = 0 would be NaN
+        value, q = _overlap_at_ratio(_shift_terms(_shift(delta, sign)), ratio)
+        assert 0.0 <= value <= 1.0 and 0.0 <= q <= 1.0
+        if delta == 0.0:
+            assert (value, q) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("ratio", [1e170, math.inf])
+    def test_overlap_past_the_float_square(self, ratio):
+        assert _overlap_at_ratio(_shift_terms(_shift(DELTA_LEO)), ratio) == (0.0, 1.0)
+        assert _overlap_at_ratio(_shift_terms(_shift(0.0)), ratio) == (1.0, 0.0)
 
 
 class TestQuadrature:
@@ -269,12 +294,13 @@ def _gaussian_pairs(draw):
 class TestGaussKronrod:
     def test_rule_degrees(self):
         # K21 integrates x^n exactly up to n = 31, its G10 part up to 19
-        kronrod, gauss = _GK_WEIGHTS.T
+        nodes, _, weights = _gk_rule()
+        kronrod, gauss = weights.T
         for n in range(32):
             exact = 2.0 / (n + 1) if n % 2 == 0 else 0.0
-            assert kronrod @ _GK_NODES**n == pytest.approx(exact, abs=1e-15)
+            assert kronrod @ nodes**n == pytest.approx(exact, abs=1e-15)
             if n < 20:
-                assert gauss @ _GK_NODES**n == pytest.approx(exact, abs=1e-15)
+                assert gauss @ nodes**n == pytest.approx(exact, abs=1e-15)
 
     @pytest.mark.parametrize(
         "f, edges, exact",
