@@ -25,6 +25,7 @@ from .scenario import (
     STATION_PRESETS,
     SWEEP_PARAMETERS,
     ConfigError,
+    OutputSpec,
     Protocol,
     ScenarioResult,
     _MAX_GRID_POINTS,
@@ -188,15 +189,17 @@ def _emit_rows(args, rows: list[dict], columns: list[str], tags: dict) -> None:
 
 def _emit_results(
     args,
+    config,
     results: list[ScenarioResult],
-    fmt: str,
-    out: str | None,
     json_payload: dict | None = None,
     comments: tuple[str, ...] = (),
 ) -> None:
     """ScenarioResult emission: CSV keeps exactly the nine result columns
-    (tags and per-row extras ride along as # comments)."""
-    if fmt == "json":
+    (tags and per-row extras ride along as # comments).  --format and
+    --out take precedence over the config's output block."""
+    stored = config.output or OutputSpec()
+    out = args.out if args.out is not None else stored.path
+    if (args.format or stored.format) == "json":
         if json_payload is None:
             json_payload = result_to_dict(results[0])
         text = render_json(json_payload, args.precision)
@@ -306,7 +309,7 @@ def _cmd_entangle(args) -> int:
             closed = entangleswap.memory_state_closed(q, outcome.which)
             sim_gap = max(sim_gap, float(np.max(np.abs(outcome.memory_state - closed))))
     p_share, p_diff = entangleswap.bit_probabilities(q)
-    figures, figure_tags = PROTOCOL_TABLE["entangle_qkd"]
+    _, figures, figure_tags = PROTOCOL_TABLE["entangle_qkd"]
     row = {
         "q": q,
         **figures(math.sqrt(1.0 - q), q, Protocol(kind="entangle_qkd")),
@@ -383,11 +386,7 @@ def _cmd_cv_homodyne(args) -> int:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    result = run_scenario(config)
-    stored = config.output
-    fmt = args.format or (stored.format if stored else None) or "json"
-    out = args.out if args.out is not None else (stored.path if stored else None)
-    _emit_results(args, [result], fmt, out)
+    _emit_results(args, config, [run_scenario(config)])
     return 0
 
 
@@ -427,7 +426,6 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     grid = _parse_grid(args.grid)
     results = sweep(config, args.parameter, grid)
-    fmt = args.format or "json"
     payload = {
         "parameter": args.parameter,
         "grid": grid,
@@ -437,7 +435,7 @@ def _cmd_sweep(args) -> int:
         f"# sweep parameter: {args.parameter}",
         "# grid: " + ",".join(repr(v) for v in grid),
     )
-    _emit_results(args, results, fmt, args.out, json_payload=payload, comments=comments)
+    _emit_results(args, config, results, json_payload=payload, comments=comments)
     return 0
 
 

@@ -4,9 +4,10 @@ When signal and local oscillator come from the same source, propagation
 through a gravitational potential difference rescales both frequency
 distributions by the same factor, so they stay perfectly mode matched
 and the homodyne statistics carry no trace of the curvature.  The
-closed forms live in homodyne_expectation; curvature_invariance_report
-verifies the premise (received signal/LO overlap stays 1) and the
-conclusion (X and V identical across scenarios) numerically.
+closed forms live in homodyne_expectation.  The scenario pipeline takes
+the matched signal/LO overlap as exactly 1; curvature_invariance_report
+is its quadrature check, verifying the premise (received overlap stays
+1) and the conclusion (X and V identical across scenarios) numerically.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def curvature_invariance_report(
     reference: tuple[float, float] | None = None
     for idx, (body, emitter, receiver) in enumerate(scenarios):
         chi = 1.0 / redshift_total(body, emitter, receiver)
-        overlap = _received_overlap(packet, lo_packet, chi)
+        received = overlap_quadrature(propagate_packet(packet, chi), propagate_packet(lo_packet, chi))
+        overlap = float(abs(received.delta))
         x = v = None
         ok = False
         if abs(overlap - 1.0) <= 1e-12:
@@ -108,9 +110,3 @@ def curvature_invariance_report(
             ok = (x, v) == reference
         rows.append({"scenario": idx, "chi": chi, "overlap": overlap, "x": x, "v": v, "pass": ok})
     return rows
-
-
-def _received_overlap(signal: WavePacket, lo: WavePacket, chi: float) -> float:
-    """|Delta| between signal and LO after both are rescaled by chi."""
-    overlap = overlap_quadrature(propagate_packet(signal, chi), propagate_packet(lo, chi))
-    return float(abs(overlap.delta))

@@ -33,8 +33,6 @@ __all__ = [
     "CP",
     "DP",
     "N_MODES",
-    "PSI_PLUS",
-    "PSI_MINUS",
     "FockVector",
     "ClickOutcome",
     "build_initial_state",
@@ -52,28 +50,18 @@ A, B, AP, BP, CP, DP = range(6)
 N_MODES = 6
 _MAX_OCC = 2
 
+
 # numpy is imported only where an array is built, so the closed forms run
-# without it; the Bell states are module attributes built on first access
-_BELL_ARRAYS = ("PSI_PLUS", "PSI_MINUS", "_P_PLUS", "_P_MINUS")
-
-
+# without it; the Bell states are built on first use
 @functools.cache
 def _bell_states() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """PSI_PLUS and PSI_MINUS in the memory basis |n_a n_b> ordered 00, 01,
-    10, 11, then their projectors _P_PLUS and _P_MINUS."""
+    """Psi+ and Psi- in the memory basis |n_a n_b> ordered 00, 01, 10, 11,
+    then their projectors."""
     import numpy as np
 
     plus = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
     minus = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
     return plus, minus, np.outer(plus, plus), np.outer(minus, minus)
-
-
-def __getattr__(name: str):
-    # check the name before building: import statements probe attributes
-    # such as __path__, and those must not load numpy
-    if name in _BELL_ARRAYS:
-        return _bell_states()[_BELL_ARRAYS.index(name)]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FockVector:

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from operator import add
 
 from . import entangleswap, fidelity
-from .cvhomodyne import HomodynePrep, _received_overlap, homodyne_expectation
+from .cvhomodyne import HomodynePrep, homodyne_expectation
 from .spacetime import (
     Body,
     Motion,
@@ -71,8 +71,6 @@ STATION_PRESETS: dict[str, dict] = {
     "iss": {"radius_m": 6_771_000.0, "motion": "orbit"},
     "far_field": {"radius_m": math.inf, "motion": "static"},
 }
-
-PROTOCOL_KINDS = ("single_photon", "coherent", "tmss", "entangle_qkd", "cv_homodyne")
 
 
 @dataclass(frozen=True)
@@ -240,26 +238,18 @@ def _parse_source(doc, path: str = "source") -> GaussianPacket:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-_PROTOCOL_PARAMS = {
-    "single_photon": set(),
-    "coherent": {"alpha"},
-    "tmss": {"s"},
-    "entangle_qkd": set(),
-    "cv_homodyne": {"alpha", "beta"},
-}
-
-
 def _parse_protocol(doc, path: str = "protocol") -> Protocol:
     if isinstance(doc, str):
         doc = {"kind": doc}
     doc = _require_mapping(doc, path)
     kind = doc.get("kind")
-    if kind not in PROTOCOL_KINDS:
-        raise ConfigError(f"{path}.kind: expected one of {PROTOCOL_KINDS}, got {kind!r}")
-    params = _PROTOCOL_PARAMS[kind]
-    _reject_unknown(doc, params | {"kind"}, path)
+    kinds = tuple(PROTOCOL_TABLE)
+    if kind not in kinds:
+        raise ConfigError(f"{path}.kind: expected one of {kinds}, got {kind!r}")
+    params = PROTOCOL_TABLE[kind][0]
+    _reject_unknown(doc, {*params, "kind"}, path)
     values = {}
-    for name in sorted(params):
+    for name in params:
         values[name] = _number(doc, name, path)
         if math.isinf(values[name]):
             raise ConfigError(f"{path}.{name}: must be finite, got {values[name]}")
@@ -378,24 +368,34 @@ _GEOMETRY_TAGS = {
 }
 
 
-# Figures of merit per protocol kind: (Delta, q, protocol) -> values, and
-# the tag of each value.  Entries look fidelity.* and entangleswap.* up
-# at call time, so rebinding those module attributes reaches every caller.
-# cv_homodyne is absent: its numbers are not functions of (Delta, q).
+def _homodyne_figures(d: float, q: float, p: Protocol) -> dict:
+    hom = homodyne_expectation(HomodynePrep(alpha=p.alpha, beta=p.beta))
+    return {"fidelity": 1.0, "extras": {"x": hom.x, "v": hom.v, "exact_v": hom.exact_v}}
+
+
+# The protocol kinds, in the order config errors list them, each with its
+# parameter names (sorted), its figures of merit as (Delta, q, protocol) ->
+# values, and the tag of each value.  Entries look fidelity.*,
+# entangleswap.* and homodyne_expectation up at call time, so rebinding
+# those module attributes reaches every caller.
 PROTOCOL_TABLE = {
     "single_photon": (
+        (),
         lambda d, q, p: {"fidelity": fidelity.single_photon_fidelity(d)},
         {"fidelity": "F = |Delta|^2"},
     ),
     "coherent": (
+        ("alpha",),
         lambda d, q, p: {"fidelity": fidelity.coherent_fidelity(d, p.alpha)},
         {"fidelity": "F = exp(-2 |alpha|^2 (1 - Re Delta))"},
     ),
     "tmss": (
+        ("s",),
         lambda d, q, p: {"fidelity": fidelity.tmss_fidelity(d, p.s)},
         {"fidelity": "F = 1/((1 - Delta) cosh^2 s + Delta)^2"},
     ),
     "entangle_qkd": (
+        (),
         lambda d, q, p: {
             "fidelity": 0.5 * (1.0 + math.sqrt(1.0 - q)),
             "negativity": entangleswap.negativity_closed(q),
@@ -407,18 +407,24 @@ PROTOCOL_TABLE = {
             "qber": "QBER = q/2",
         },
     ),
+    # Signal and LO cross the same link and get the same scale map, so
+    # their relative scale is 1 and their received overlap is Delta = 1
+    # exactly, whatever the link does to the signal alone.
+    "cv_homodyne": (
+        ("alpha", "beta"),
+        _homodyne_figures,
+        {
+            "fidelity": "received signal/LO mode overlap (1: homodyne unaffected)",
+            "x": "X = 2 Re(alpha conj(beta))",
+            "v": "V = 2 |beta|^2 for |beta| >= 10 |alpha|, else exact",
+            "exact_v": "V_exact = 2 (|beta|^2 + |alpha|^2)",
+        },
+    ),
 }
 
 
 # Every tag of a link row, per protocol kind, in output order.
-_LINK_TAGS = {kind: {**_GEOMETRY_TAGS, **tags} for kind, (_, tags) in PROTOCOL_TABLE.items()}
-_LINK_TAGS["cv_homodyne"] = {
-    **_GEOMETRY_TAGS,
-    "fidelity": "received signal/LO mode overlap (1: homodyne unaffected)",
-    "x": "X = 2 Re(alpha conj(beta))",
-    "v": "V = 2 |beta|^2 for |beta| >= 10 |alpha|, else exact",
-    "exact_v": "V_exact = 2 (|beta|^2 + |alpha|^2)",
-}
+_LINK_TAGS = {kind: {**_GEOMETRY_TAGS, **tags} for kind, (_, _, tags) in PROTOCOL_TABLE.items()}
 
 _Geometry = tuple[float, ShiftParameter, float, _ShiftTerms]
 
@@ -451,25 +457,18 @@ def _link_result(
     overlap -> protocol.  Every link row, run or sweep point, is built
     here."""
     ratio, shift, travel, terms = geometry
-    chi = 1.0 / ratio
     d, q = _overlap_at_ratio(terms, peak / width)
     # every RESULT_FIELDS key, in order, then tags and extras
-    fields = {"chi": chi, "delta": shift.delta, "Delta": d, "q": q,
+    fields = {"chi": 1.0 / ratio, "delta": shift.delta, "Delta": d, "q": q,
               "fidelity": None, "negativity": None, "qber": None,
               "travel_time_s": travel, "redshift_ratio": ratio,
               "tags": _LINK_TAGS[proto.kind].copy(), "extras": {}}
-    if proto.kind == "cv_homodyne":
-        source = GaussianPacket(peak_hz=peak, width_hz=width)
-        fields["fidelity"] = _received_overlap(source, source, chi)
-        hom = homodyne_expectation(HomodynePrep(alpha=proto.alpha, beta=proto.beta))
-        fields["extras"] = {"x": hom.x, "v": hom.v, "exact_v": hom.exact_v}
-    else:
-        fields.update(PROTOCOL_TABLE[proto.kind][0](d, q, proto))
-        if proto.kind == "entangle_qkd" and monte_carlo is not None:
-            fields["extras"]["qber_mc"] = entangleswap.qber_monte_carlo(
-                q, monte_carlo.trials, monte_carlo.seed
-            )
-            fields["tags"]["qber_mc"] = "empirical fraction of disagreeing sifted bits (seeded)"
+    fields.update(PROTOCOL_TABLE[proto.kind][1](d, q, proto))
+    if proto.kind == "entangle_qkd" and monte_carlo is not None:
+        fields["extras"]["qber_mc"] = entangleswap.qber_monte_carlo(
+            q, monte_carlo.trials, monte_carlo.seed
+        )
+        fields["tags"]["qber_mc"] = "empirical fraction of disagreeing sifted bits (seeded)"
     return _result(fields)
 
 
@@ -622,8 +621,6 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
         raise ConfigError(
             f"sweep.parameter: expected one of {SWEEP_PARAMETERS}, got {parameter!r}"
         )
-    if parameter == "q" and config.protocol.kind not in PROTOCOL_TABLE:
-        raise ConfigError("sweep.parameter: q sweeps need a non-cv protocol")
     if len(grid) == 0:
         raise ConfigError("sweep.grid: empty grid")
     if len(grid) > _MAX_GRID_POINTS:
@@ -631,14 +628,14 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
     body, emitter, proto = config.body, config.emitter, config.protocol
     peak, width = config.source.peak_hz, config.source.width_hz
     if parameter == "q":
-        figures, figure_tags = PROTOCOL_TABLE[proto.kind]
+        _, figures, figure_tags = PROTOCOL_TABLE[proto.kind]
         tags = {**_Q_TAGS, **figure_tags}
         empty = dict.fromkeys(RESULT_FIELDS)
 
         def point(value):
             d = math.sqrt(1.0 - _check_q(value))
-            return _result({**empty, "Delta": d, "q": value, **figures(d, value, proto),
-                            "tags": tags.copy(), "extras": {}})
+            return _result({**empty, "Delta": d, "q": value, "tags": tags.copy(), "extras": {},
+                            **figures(d, value, proto)})
     elif parameter == "receiver_radius_m":
         motion = config.receiver.motion
 

@@ -116,8 +116,11 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
 def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
     """numpy loads only where an array is built: the import and every
     closed-form path run without it."""
+    link = {k: v for k, v in LEO_CONFIG.items() if k != "monte_carlo"}
     config = tmp_path / "leo.json"
-    config.write_text(json.dumps({k: v for k, v in LEO_CONFIG.items() if k != "monte_carlo"}))
+    config.write_text(json.dumps(link))
+    cv = tmp_path / "cv.json"
+    cv.write_text(json.dumps(dict(link, protocol={"kind": "cv_homodyne", "alpha": 0.5, "beta": 30.0})))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(LEO_CONFIG, source={"peak_hz": 700e12, "width_hz": -1.0})))
     calls = [
@@ -126,6 +129,8 @@ def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
         (["qber", "--q", "0.1"], 0),
         (["run", str(config)], 0),
         (["sweep", str(config), "--parameter", "q", "--grid", "0.1,0.2"], 0),
+        (["run", str(cv)], 0),
+        (["sweep", str(cv), "--parameter", "width_hz", "--grid", "1e5,1e6,1e7"], 0),
         (["paper-table"], 0),
         (["run", str(bad)], 1),
     ]
@@ -600,6 +605,19 @@ class TestRunAndSweep:
         path.write_text(json.dumps(cfg))
         assert gravlink("run", str(path)).returncode == 0
         assert target.exists()
+
+    def test_sweep_output_block_from_config(self, gravlink, tmp_path):
+        target = tmp_path / "sweep.csv"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(LEO_CONFIG, output={"format": "csv", "path": str(target)})))
+        argv = ["sweep", str(path), "--parameter", "q", "--grid", "0,0.5"]
+        proc = gravlink(*argv)
+        assert proc.returncode == 0 and proc.stdout == ""
+        data = [ln for ln in target.read_text().splitlines() if not ln.startswith("#")]
+        assert data[0] == ",".join(RESULT_FIELDS) and len(data) == 3
+        # a flag overrides the block: --format json still writes to its path
+        assert gravlink(*argv, "--format", "json").returncode == 0
+        assert [r["q"] for r in json.loads(target.read_text())["rows"]] == [0.0, 0.5]
 
     def test_sweep_log_grid(self, gravlink, leo_config):
         proc = gravlink(

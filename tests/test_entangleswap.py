@@ -20,7 +20,7 @@ from gravlink import (
     qber_closed,
     qber_monte_carlo,
 )
-from gravlink.entangleswap import AP, BP, CP, DP, PSI_MINUS, PSI_PLUS
+from gravlink.entangleswap import AP, BP, CP, DP, _bell_states
 
 Q_GRID = [0.0, 1e-3, 2.6e-3, 0.0147, 0.1, 0.5, 1.0]
 Q_FAR = 0.014730268968542607
@@ -136,10 +136,11 @@ def test_detect_validation():
 
 
 def test_closed_memory_state_endpoints():
+    psi_plus, psi_minus = _bell_states()[:2]
     pure = memory_state_closed(0.0, "D1")
-    assert np.allclose(pure, np.outer(PSI_PLUS, PSI_PLUS), atol=1e-15)
+    assert np.allclose(pure, np.outer(psi_plus, psi_plus), atol=1e-15)
     dephased = memory_state_closed(1.0, "D1")
-    expected = 0.5 * (np.outer(PSI_PLUS, PSI_PLUS) + np.outer(PSI_MINUS, PSI_MINUS))
+    expected = 0.5 * (np.outer(psi_plus, psi_plus) + np.outer(psi_minus, psi_minus))
     assert np.allclose(dephased, expected, atol=1e-15)
 
 
@@ -157,7 +158,8 @@ def test_negativity_far_field_point():
 
 
 def test_negativity_reference_states():
-    bell = np.outer(PSI_PLUS, PSI_PLUS)
+    psi_plus = _bell_states()[0]
+    bell = np.outer(psi_plus, psi_plus)
     assert negativity(bell) == pytest.approx(0.5, abs=1e-12)
     separable = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
     assert negativity(separable) == 0.0

@@ -14,9 +14,11 @@ from gravlink import (
     Body,
     ConfigError,
     GaussianPacket,
+    HomodynePrep,
     Motion,
     Observer,
     coordinate_travel_time,
+    curvature_invariance_report,
     load_config,
     overlap_gaussian_closed,
     redshift_total,
@@ -50,6 +52,16 @@ def base_config() -> dict:
         "source": "spdc_blue",
         "protocol": {"kind": "entangle_qkd"},
     }
+
+
+CV_PROTOCOL = {"kind": "cv_homodyne", "alpha": 0.5, "beta": 90.0}
+ALL_PROTOCOLS = [
+    {"kind": "single_photon"},
+    {"kind": "coherent", "alpha": 2.0},
+    {"kind": "tmss", "s": 1.5},
+    {"kind": "entangle_qkd"},
+    CV_PROTOCOL,
+]
 
 
 class TestParsing:
@@ -131,6 +143,15 @@ class TestParsing:
         mutate(cfg)
         with pytest.raises(ConfigError, match=message):
             parse_config(cfg)
+
+    def test_protocol_errors_follow_the_table(self):
+        kinds = "('single_photon', 'coherent', 'tmss', 'entangle_qkd', 'cv_homodyne')"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(dict(base_config(), protocol={"kind": "bb84"}))
+        assert str(exc.value) == f"protocol.kind: expected one of {kinds}, got 'bb84'"
+        # parameters are read in sorted order, so alpha is reported first
+        with pytest.raises(ConfigError, match=r"^protocol\.alpha: missing$"):
+            parse_config(dict(base_config(), protocol={"kind": "cv_homodyne"}))
 
     def test_stations_on_the_surface_and_at_infinity_pass(self):
         cfg = base_config()
@@ -250,7 +271,7 @@ class TestRunScenario:
 
     def test_cv_homodyne_extras(self):
         cfg = base_config()
-        cfg["protocol"] = {"kind": "cv_homodyne", "alpha": 0.5, "beta": 90.0}
+        cfg["protocol"] = CV_PROTOCOL
         res = run_scenario(parse_config(cfg))
         assert res.extras["x"] == 90.0
         assert res.extras["v"] == 16_200.0
@@ -265,12 +286,37 @@ class TestRunScenario:
         assert first.extras["qber_mc"] == second.extras["qber_mc"]
         assert first.extras["qber_mc"] == pytest.approx(first.qber, abs=5e-4)
 
+    @pytest.mark.parametrize(
+        "body, receiver",
+        [({"mass_kg": 0.0, "radius_m": 6_371_000.0}, "iss"), ("earth", "iss"),
+         ("earth", "far_field")],
+        ids=["flat", "earth-iss", "earth-far_field"],
+    )
+    @pytest.mark.parametrize("source", ["spdc_blue", "rb_vapor"])
+    def test_cv_fidelity_is_the_quadrature_overlap(self, body, receiver, source):
+        # the pipeline takes the matched signal/LO overlap as 1; the
+        # quadrature route propagates both packets and integrates
+        sc = parse_config(dict(base_config(), body=body, receiver=receiver, source=source,
+                               protocol=CV_PROTOCOL))
+        res = run_scenario(sc)
+        prep = HomodynePrep(alpha=CV_PROTOCOL["alpha"], beta=CV_PROTOCOL["beta"])
+        [row] = curvature_invariance_report(prep, [(sc.body, sc.emitter, sc.receiver)],
+                                            packet=sc.source)
+        assert res.fidelity == 1.0
+        assert abs(res.fidelity - row["overlap"]) <= 1e-12
+        assert row["pass"]
+
     def test_tags_cover_populated_fields_only(self):
-        res = run_scenario(parse_config(base_config()))
-        for name in res.tags:
-            assert name in RESULT_FIELDS
-            assert getattr(res, name) is not None
-        assert "Delta" in res.tags and "qber" in res.tags
+        for protocol in ALL_PROTOCOLS:
+            res = run_scenario(parse_config(dict(base_config(), protocol=protocol)))
+            for name in res.tags:
+                if name not in res.extras:
+                    assert name in RESULT_FIELDS
+                    assert getattr(res, name) is not None
+            populated = {name for name in RESULT_FIELDS if getattr(res, name) is not None}
+            assert set(res.tags) == populated | set(res.extras), protocol["kind"]
+            assert "Delta" in res.tags and "fidelity" in res.tags
+            assert ("qber" in res.tags) == (protocol["kind"] == "entangle_qkd")
 
 
 class TestSweep:
@@ -319,10 +365,17 @@ class TestSweep:
             sweep(sc, "q", [])
         with pytest.raises(ConfigError, match="sweep.parameter"):
             sweep(sc, "mass", [1.0])
-        cfg = base_config()
-        cfg["protocol"] = {"kind": "cv_homodyne", "alpha": 0.5, "beta": 90.0}
-        with pytest.raises(ConfigError, match="non-cv"):
-            sweep(parse_config(cfg), "q", [0.1])
+
+    def test_cv_q_sweep(self):
+        # the matched signal/LO overlap does not depend on the swept q
+        sc = parse_config(dict(base_config(), protocol=CV_PROTOCOL))
+        extras = run_scenario(sc).extras
+        rows = sweep(sc, "q", [0.0, 0.3, 1.0])
+        assert [row.q for row in rows] == [0.0, 0.3, 1.0]
+        for row in rows:
+            assert row.fidelity == 1.0
+            assert row.extras == extras == {"x": 90.0, "v": 16_200.0, "exact_v": 16_200.5}
+            assert row.chi is None and row.negativity is None
 
     @pytest.mark.parametrize(
         "parameter, grid, message",
@@ -448,15 +501,7 @@ class TestSweep:
             sweep(sc, parameter, grid)
             assert len(calls) == expected, parameter
 
-    @pytest.mark.parametrize(
-        "protocol",
-        [
-            {"kind": "single_photon"},
-            {"kind": "coherent", "alpha": 2.0},
-            {"kind": "tmss", "s": 1.5},
-            {"kind": "entangle_qkd"},
-        ],
-    )
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
     def test_q_sweep_matches_run(self, protocol):
         cfg = base_config()
         cfg["protocol"] = protocol
