@@ -390,6 +390,23 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """np.linspace(start, stop, count) bit for bit, in its float operations:
+    point i is i*step + start, or i/div*delta + start where the step
+    underflows to 0, and the last point is stop."""
+    delta = stop - start
+    if count == 1:
+        return [0.0 * delta + start]
+    div = count - 1
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + start for i in range(count)]
+    else:
+        values = [i * step + start for i in range(count)]
+    values[-1] = stop
+    return values
+
+
 def _parse_grid(text: str) -> list[float]:
     head, _, rest = text.partition(":")
     if head in ("log", "lin"):
@@ -404,15 +421,16 @@ def _parse_grid(text: str) -> list[float]:
             raise ConfigError("sweep.grid: COUNT must be >= 1")
         if count > _MAX_GRID_POINTS:
             raise ConfigError(f"sweep.grid: COUNT must be <= {_MAX_GRID_POINTS}, got {count}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError(f"sweep.grid: {head} range needs finite endpoints, got {text!r}")
+        if head == "lin":
+            return _linspace(start, stop, count)
+        if start <= 0.0 or stop <= 0.0:
+            raise ConfigError("sweep.grid: log range needs positive endpoints")
+        # np.geomspace: math's log10 and pow can differ from numpy's by an ulp
         import numpy as np
 
-        if head == "log":
-            if start <= 0.0 or stop <= 0.0:
-                raise ConfigError("sweep.grid: log range needs positive endpoints")
-            values = np.geomspace(start, stop, count)
-        else:
-            values = np.linspace(start, stop, count)
-        return [float(v) for v in values]
+        return [float(v) for v in np.geomspace(start, stop, count)]
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not tokens:
         raise ConfigError("sweep.grid: empty grid")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import add
 
@@ -588,8 +589,8 @@ def reference_table() -> list[dict]:
 SWEEP_PARAMETERS = ("width_hz", "peak_hz", "receiver_radius_m", "q")
 
 # Largest accepted sweep grid: a 10^5-point receiver_radius_m sweep
-# prints 96 MB of JSON in about 6 s and 540 MB of memory on a 2-core
-# host in its slow regime, and the cost grows linearly from there.
+# prints 96 MB of JSON in about 3.5 s and peaks at 440 MB on a 2-core
+# host (BENCH_14.json), and the cost grows linearly from there.
 _MAX_GRID_POINTS = 100_000
 
 
@@ -666,11 +667,35 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
 
 
 def result_to_dict(result: ScenarioResult) -> dict:
-    doc = {name: getattr(result, name) for name in RESULT_FIELDS}
-    doc["tags"] = dict(result.tags)
-    if result.extras:
-        doc["extras"] = dict(result.extras)
+    # the instance dict holds RESULT_FIELDS, tags and extras, in that order
+    doc = result.__dict__.copy()
+    doc["tags"] = dict(doc["tags"])
+    extras = doc.pop("extras")
+    if extras:
+        doc["extras"] = dict(extras)
     return doc
+
+
+# Rows per block when render_json and render_csv fill a table: the cell
+# texts of one block are alive at a time.
+_ROW_BLOCK = 1024
+
+
+def _float_column(column, texts_of) -> list[str]:
+    """The text of each float in column, from texts_of(floats), which
+    formats the floats it is given in one pass.  A column of one repeated
+    value (a link invariant in a source sweep) is formatted once; zeros
+    are not, as 0.0 == -0.0 and their texts differ.  Deduplicating other
+    columns through a dict would slow sweeps down: their other columns
+    seldom repeat a value."""
+    first = column[0]
+    if first and column.count(first) == len(column):
+        return texts_of((first,)) * len(column)
+    return texts_of(column)
+
+
+def _repr_texts(values) -> list[str]:
+    return list(map(repr, values))
 
 
 def render_json(rows: list[dict] | dict, precision: int | None = None) -> str:
@@ -689,6 +714,14 @@ def render_json(rows: list[dict] | dict, precision: int | None = None) -> str:
     parsed back and written by repr only when its exponent lies between
     the precision and 15 or |v| < 1e-300.  A value json cannot encode
     raises json's own TypeError.
+
+    A list of dicts that share one key order of str keys (a sweep's rows)
+    is written as a table, column by column and _ROW_BLOCK rows at a
+    time: an all-float column is formatted in one % call, a column of
+    None or of equal all-string objects (the rows' tags) takes one text,
+    and each row fills one template of the key texts.  A list of floats
+    (a sweep's grid) is one float column.  Any other list is written
+    item by item.
     """
     float_repr = float.__repr__
     spec = f".{precision}g"
@@ -720,6 +753,29 @@ def render_json(rows: list[dict] | dict, precision: int | None = None) -> str:
             if type(v) is float and -1e308 < v < 1e308
             else "null" if v is None else value(v, inner)
             for v in values
+        ]
+
+    def float_texts(values: tuple) -> list[str]:
+        # each float of values as texts() writes it; at precisions up to
+        # 15, in one % call
+        if precision is None:
+            if math.isfinite(sum(values)):  # no inf or nan
+                return _repr_texts(values)
+            return texts(values, "")
+        if precision > 15:
+            return texts(values, "")
+        joined = ",".join(["%" + spec] * len(values)) % values
+        if "e" not in joined and joined.count(".") == len(values):
+            return joined.split(",")
+        # rounded()'s text from format()'s: as it is, or parsed back and
+        # written by repr for an exponent from the precision to 15
+        return [
+            text
+            if ("e" not in text and "." in text) or ("e-" in text and not -1e-300 < v < 1e-300)
+            else float_repr(float(text))
+            if text[-4:-2] == "e+" and text[-2:] < "16"
+            else texts((v,), "")[0]
+            for v, text in zip(values, joined.split(","))
         ]
 
     def number(v) -> str:
@@ -785,11 +841,58 @@ def render_json(rows: list[dict] | dict, precision: int | None = None) -> str:
             return text
         return "".join(map(add, heads, texts(values, inner))) + indent + "}"
 
+    def cells(column: tuple, indent: str) -> list[str]:
+        kinds = {*map(type, column)}
+        if kinds == {float}:
+            return _float_column(column, float_texts)
+        first = column[0]
+        # A column of None, or of equal all-str objects with one key order
+        # (a sweep's tags), has one text: what equals a str is a str or a
+        # str subclass, and json writes those alike.
+        if kinds == {type(None)} or (
+            kinds == {dict}
+            and first
+            and {*map(type, first)} == {*map(type, first.values())} == {str}
+            and all(map(tuple(first).__eq__, map(tuple, column)))
+            and column.count(first) == len(column)
+        ):
+            return [value(first, indent)] * len(column)
+        return texts(column, indent)
+
+    def table(rows, inner: str) -> str:
+        # rows share one key order of str keys
+        row_inner = inner + "  "
+        template = "{" + ",".join(
+            row_inner + string(k).replace("%", "%%") + ": %s" for k in rows[0]
+        ) + inner + "}"
+        comma = "," + inner
+        blocks = []
+        for start in range(0, len(rows), _ROW_BLOCK):
+            block = rows[start:start + _ROW_BLOCK]
+            columns = [cells(c, row_inner) for c in zip(*map(dict.values, block))]
+            # one % call fills the block's rows, cell texts in row order
+            cells_by_row = (*chain.from_iterable(zip(*columns)),)
+            blocks.append(comma.join([template] * len(block)) % cells_by_row)
+        return comma.join(blocks)
+
     def sequence(seq, indent: str) -> str:
         if not seq:
             return "[]"
         inner = indent + "  "
-        return "[" + inner + ("," + inner).join(texts(seq, inner)) + indent + "]"
+        kinds = {*map(type, seq)}
+        first = seq[0]
+        if kinds == {float}:
+            body = ("," + inner).join(_float_column(tuple(seq), float_texts))
+        elif (
+            kinds == {dict}
+            and first
+            and {*map(type, first)} == {str}
+            and all(map(tuple(first).__eq__, map(tuple, seq)))
+        ):
+            body = table(seq, inner)
+        else:
+            body = ("," + inner).join(texts(seq, inner))
+        return "[" + inner + body + indent + "]"
 
     return texts((rows,), "\n")[0] + "\n"
 
@@ -824,8 +927,22 @@ def render_csv(rows: list[dict], columns: list[str], tags: dict | None = None) -
         for key in sorted(set(tags) - set(columns)):
             lines.append(f"# {key}: {tags[key]}")
     lines.append(",".join(columns))
-    for row in rows:
-        cells = [repr(v) if type(v) is float else _csv_cell(v) for v in map(row.get, columns)]
-        lines.append(",".join(cells))
+    # column by column, _ROW_BLOCK rows at a time
+    names = tuple(columns)
+    fill = ",".join(["%s"] * len(names)).__mod__
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = rows[start:start + _ROW_BLOCK]
+        if {*map(type, block)} == {dict} and all(map(names.__eq__, map(tuple, block))):
+            table = zip(*map(dict.values, block))
+        else:
+            table = ([row.get(name) for row in block] for name in names)
+        cells = [
+            _float_column(column, _repr_texts)
+            if {*map(type, column)} == {float}
+            else list(map(_csv_cell, column))
+            for column in table
+        ]
+        # with no columns, every row is an empty line
+        lines.extend(map(fill, zip(*cells)) if cells else [""] * len(block))
     return "\n".join(lines) + "\n"
 

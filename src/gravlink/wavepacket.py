@@ -460,24 +460,39 @@ def read_packet_csv(path) -> TabulatedPacket:
     """Load a tabulated packet from CSV.
 
     Expected header: frequency_hz, amplitude_real and optionally
-    amplitude_imag.  The packet must already be normalized.
+    amplitude_imag.  The packet must already be normalized.  A row that
+    is short of a column or holds a cell that is not a number raises
+    ValueError naming its line; blank lines are skipped.
     """
     freqs: list[float] = []
-    amps: list[complex] = []
+    reals: list[float] = []
+    imags: list[float] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
+        reader = csv.reader(fh)
+        fields = next(reader, [])
         if "frequency_hz" not in fields or "amplitude_real" not in fields:
             raise ValueError(
                 "packet CSV needs columns frequency_hz, amplitude_real"
                 f"[, amplitude_imag]; got {fields}"
             )
-        has_imag = "amplitude_imag" in fields
+        # a repeated column name means its last column, as csv.DictReader reads it
+        index = {name: i for i, name in enumerate(fields)}
+        freq_col, re_col = index["frequency_hz"], index["amplitude_real"]
+        im_col = index.get("amplitude_imag")
+        width = max(freq_col, re_col, -1 if im_col is None else im_col) + 1
         for row in reader:
-            freqs.append(float(row["frequency_hz"]))
-            im = float(row["amplitude_imag"]) if has_imag else 0.0
-            amps.append(complex(float(row["amplitude_real"]), im))
-    return TabulatedPacket(freqs, amps)
+            if not row:
+                continue
+            try:
+                if len(row) < width:
+                    raise ValueError(f"expected {width} cells, got {len(row)}")
+                freqs.append(float(row[freq_col]))
+                reals.append(float(row[re_col]))
+                if im_col is not None:
+                    imags.append(float(row[im_col]))
+            except ValueError as exc:
+                raise ValueError(f"packet CSV line {reader.line_num}: {exc}") from None
+    return TabulatedPacket(freqs, list(map(complex, reals, imags)) if im_col is not None else reals)
 
 
 def write_packet_csv(packet: WavePacket, path) -> None:

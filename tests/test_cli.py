@@ -129,6 +129,7 @@ def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
         (["qber", "--q", "0.1"], 0),
         (["run", str(config)], 0),
         (["sweep", str(config), "--parameter", "q", "--grid", "0.1,0.2"], 0),
+        (["sweep", str(config), "--parameter", "q", "--grid", "lin:0:0.5:6"], 0),
         (["run", str(cv)], 0),
         (["sweep", str(cv), "--parameter", "width_hz", "--grid", "1e5,1e6,1e7"], 0),
         (["paper-table"], 0),
@@ -253,6 +254,26 @@ class TestValidation:
     def test_grid_count_at_the_maximum_passes(self):
         grid = cli._parse_grid("lin:0:1:100000")
         assert len(grid) == 100_000 and grid[0] == 0.0 and grid[-1] == 1.0
+
+    @pytest.mark.parametrize(
+        "parameter, grid",
+        [
+            ("q", "lin:0:inf:3"),
+            ("q", "lin:-inf:inf:3"),
+            ("width_hz", "log:1:inf:3"),
+            ("width_hz", "log:nan:1e7:3"),
+            ("receiver_radius_m", "log:inf:inf:2"),
+            ("q", "lin:nan:1:1"),
+        ],
+    )
+    def test_sweep_grid_non_finite_endpoints(self, gravlink, leo_config, parameter, grid):
+        proc = gravlink("sweep", str(leo_config), "--parameter", parameter, "--grid", grid)
+        head = grid.partition(":")[0]
+        self._rejected(proc, f"sweep.grid: {head} range needs finite endpoints, got {grid!r}")
+
+    def test_comma_grids_keep_infinities(self):
+        assert cli._parse_grid("1,inf, -inf") == [1.0, math.inf, -math.inf]
+
 
     @pytest.mark.parametrize(
         "argv, field",
@@ -422,6 +443,20 @@ def _assert_exit_contract(argv):
     if code == 1:
         assert out == ""
         assert err.startswith("gravlink: ") and err.count("\n") == 1, err
+
+
+_BITS_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308, 2.2250738585072014e-308]
+)
+
+
+@given(_BITS_FLOATS, _BITS_FLOATS, st.integers(1, 300))
+@settings(max_examples=500, deadline=None)
+def test_lin_grid_is_np_linspace_bit_for_bit(start, stop, count):
+    got = np.array(cli._linspace(start, stop, count))
+    with np.errstate(all="ignore"):  # an overflowing STOP - START gives inf and nan in both
+        want = np.linspace(start, stop, count)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 class TestExitCodeContract:

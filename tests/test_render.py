@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gravlink.scenario import render_csv, render_json
+from gravlink.scenario import (
+    RESULT_FIELDS,
+    _ROW_BLOCK,
+    parse_config,
+    render_csv,
+    render_json,
+    result_to_dict,
+    sweep,
+)
 
 
 def _old_json_safe(value, precision):
@@ -199,3 +207,93 @@ _COLUMNS = ["chi", "q", "note", "verdict", "missing"]
 @settings(max_examples=300, deadline=None)
 def test_render_csv_matches_the_cell_formatter(rows, columns, tags):
     assert render_csv(rows, columns, tags) == _old_render_csv(rows, columns, tags)
+
+
+# Tables: what the column path of render_json and render_csv serves, and
+# what _DOCS almost never draws.  Most rows share one key order, some keys
+# hold "%", and each column draws from a small pool, so its cells repeat.
+_POOL_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    1e-300, -1e-300, math.nextafter(1e-300, 0.0), math.nextafter(1e-300, 1.0),
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+    1.0, -3.0, 12.0, 1e15, 123456789012.0, 1.5e12, -1.23456789012345e13, 4.5e14,
+    9.9999999999995e15, 0.1, 2.5e-16, 1.2345678901234567e-5,
+]
+_POOL_OTHERS = [
+    0, -7, 10**20, True, False, None, "ok", "50%", 'say "hi"', "é",
+    {"q": "q = 1 - Delta^2", "chi": "chi = 1/redshift_ratio"},
+    {"chi": "chi = 1/redshift_ratio", "q": "q = 1 - Delta^2"},  # equal, other order
+    {"%s": "%d", "x": "X = 2 Re(alpha conj(beta))"},
+    {"x": 1.0, "v": 0.5},
+    {},
+]
+_TABLE_FLOATS = st.sampled_from(_POOL_FLOATS) | st.floats(allow_subnormal=True)
+_TABLE_KEYS = st.lists(
+    st.sampled_from(["chi", "q", "%", "a%sb", "100%", "tags", "é", ""]),
+    min_size=1, max_size=6, unique=True,
+)
+
+
+def _fresh(value):
+    # a pooled dict is copied, so equal cells are not one object
+    return dict(value) if type(value) is dict else value
+
+
+@st.composite
+def _tables(draw):
+    keys = draw(_TABLE_KEYS)
+    pools = {
+        key: draw(st.lists(_TABLE_FLOATS if draw(st.booleans()) else
+                           st.sampled_from(_POOL_FLOATS + _POOL_OTHERS), min_size=1, max_size=4))
+        for key in keys
+    }
+    rows = []
+    for _ in range(draw(st.integers(2, 40))):
+        # now and then a row of another shape: keys reordered or one dropped
+        shape = draw(st.sampled_from([keys] * 8 + [keys[::-1], keys[1:]]))
+        rows.append({key: _fresh(draw(st.sampled_from(pools[key]))) for key in shape})
+    return rows
+
+
+_TABLES = _tables()
+
+
+@given(_TABLES, st.lists(_TABLE_FLOATS, min_size=1, max_size=8), _PRECISIONS)
+@settings(max_examples=400, deadline=None)
+def test_render_json_tables_match_json_dumps(rows, grid, precision):
+    doc = {"grid": grid, "rows": rows}
+    assert render_json(doc, precision) == _old_render_json(doc, precision)
+    assert render_json(rows, precision) == _old_render_json(rows, precision)
+
+
+@given(_TABLES, st.none() | st.dictionaries(st.sampled_from(["chi", "q", "%", "extra"]), _STRINGS))
+@settings(max_examples=200, deadline=None)
+def test_render_csv_tables_match_the_cell_formatter(rows, tags):
+    columns = [*rows[0], "missing"]
+    assert render_csv(rows, columns, tags) == _old_render_csv(rows, columns, tags)
+
+
+_SWEEP_POINTS = 3000
+_STEPS = [i / (_SWEEP_POINTS - 1) for i in range(_SWEEP_POINTS)]
+_SWEEP_GRIDS = {
+    "receiver_radius_m": [6.5e6 + 3.35e7 * x for x in _STEPS],
+    "width_hz": [1e4 * 1e4**x for x in _STEPS],
+    "peak_hz": [2e14 + 7e14 * x for x in _STEPS],
+    "q": _STEPS,
+}
+
+
+@pytest.mark.parametrize("parameter", sorted(_SWEEP_GRIDS))
+def test_sweeps_past_the_row_block_match_the_oracles(parameter):
+    assert _SWEEP_POINTS > 2 * _ROW_BLOCK
+    config = parse_config({"body": "earth", "emitter": "ground", "receiver": "iss",
+                           "source": "spdc_blue", "protocol": "entangle_qkd"})
+    grid = _SWEEP_GRIDS[parameter]
+    results = sweep(config, parameter, grid)
+    doc = {"parameter": parameter, "grid": grid, "rows": [result_to_dict(r) for r in results]}
+    for precision in (None, 12, 15):
+        assert render_json(doc, precision) == _old_render_json(doc, precision), precision
+    table = [{name: getattr(r, name) for name in RESULT_FIELDS} for r in results]
+    tags = {key: tag for r in results for key, tag in r.tags.items()}
+    columns = list(RESULT_FIELDS)
+    assert render_csv(table, columns, tags) == _old_render_csv(table, columns, tags)

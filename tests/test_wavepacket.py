@@ -482,3 +482,31 @@ class TestCsvRoundTrip:
         path.write_text("nu,amp\n1.0,2.0\n")
         with pytest.raises(ValueError, match="frequency_hz"):
             read_packet_csv(path)
+
+    @staticmethod
+    def _damaged(tmp_path, line: int, text: str):
+        """The SPDC packet file with its 1-based line `line` replaced by text
+        and a blank line after the header, which the reader skips."""
+        path = tmp_path / "packet.csv"
+        write_packet_csv(tabulate(SPDC), path)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = text
+        lines.insert(1, "")
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_short_row_names_its_line(self, tmp_path):
+        path = self._damaged(tmp_path, 5, "700000000000000.0")
+        with pytest.raises(ValueError, match=r"^packet CSV line 6: expected 2 cells, got 1$"):
+            read_packet_csv(path)
+
+    def test_bad_cell_names_its_line(self, tmp_path):
+        path = self._damaged(tmp_path, 9, "700000000000000.0,abc")
+        with pytest.raises(ValueError, match=r"^packet CSV line 10: could not convert .*'abc'"):
+            read_packet_csv(path)
+
+    def test_missing_imag_cell_names_its_line(self, tmp_path):
+        path = tmp_path / "complex.csv"
+        path.write_text("frequency_hz,amplitude_real,amplitude_imag\n1.0,0.5,0.0\n2.0,0.5\n")
+        with pytest.raises(ValueError, match=r"^packet CSV line 3: expected 3 cells, got 2$"):
+            read_packet_csv(path)
