@@ -27,7 +27,6 @@ from .scenario import (
     ConfigError,
     OutputSpec,
     Protocol,
-    ScenarioResult,
     _MAX_GRID_POINTS,
     _check_q,
     _link_geometry,
@@ -190,28 +189,26 @@ def _emit_rows(args, rows: list[dict], columns: list[str], tags: dict) -> None:
 def _emit_results(
     args,
     config,
-    results: list[ScenarioResult],
+    rows: list[dict],
     json_payload: dict | None = None,
     comments: tuple[str, ...] = (),
 ) -> None:
-    """ScenarioResult emission: CSV keeps exactly the nine result columns
-    (tags and per-row extras ride along as # comments).  --format and
-    --out take precedence over the config's output block."""
+    """Emission of result_to_dict rows: JSON writes json_payload, or the
+    one row of a run; CSV keeps exactly the nine result columns (tags and
+    per-row extras ride along as # comments).  --format and --out take
+    precedence over the config's output block."""
     stored = config.output or OutputSpec()
     out = args.out if args.out is not None else stored.path
     if (args.format or stored.format) == "json":
-        if json_payload is None:
-            json_payload = result_to_dict(results[0])
-        text = render_json(json_payload, args.precision)
+        text = render_json(rows[0] if json_payload is None else json_payload, args.precision)
     else:
-        rows = [{name: getattr(r, name) for name in RESULT_FIELDS} for r in results]
         tags: dict[str, str] = {}
-        for result in results:
-            for key, tag in result.tags.items():
+        for row in rows:
+            for key, tag in row["tags"].items():
                 tags.setdefault(key, tag)
         lines = list(comments)
-        for index, result in enumerate(results):
-            for key, value in result.extras.items():
+        for index, row in enumerate(rows):
+            for key, value in row.get("extras", {}).items():
                 lines.append(f"# extra {key}[{index}] = {value!r}")
         text = "".join(line + "\n" for line in lines)
         text += render_csv(rows, list(RESULT_FIELDS), tags)
@@ -386,7 +383,7 @@ def _cmd_cv_homodyne(args) -> int:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    _emit_results(args, config, [run_scenario(config)])
+    _emit_results(args, config, [result_to_dict(run_scenario(config))])
     return 0
 
 
@@ -424,6 +421,8 @@ def _parse_grid(text: str) -> list[float]:
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ConfigError(f"sweep.grid: {head} range needs finite endpoints, got {text!r}")
         if head == "lin":
+            if not math.isfinite(stop - start):
+                raise ConfigError(f"sweep.grid: lin range wider than the largest float, got {text!r}")
             return _linspace(start, stop, count)
         if start <= 0.0 or stop <= 0.0:
             raise ConfigError("sweep.grid: log range needs positive endpoints")
@@ -443,17 +442,13 @@ def _parse_grid(text: str) -> list[float]:
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     grid = _parse_grid(args.grid)
-    results = sweep(config, args.parameter, grid)
-    payload = {
-        "parameter": args.parameter,
-        "grid": grid,
-        "rows": [result_to_dict(r) for r in results],
-    }
+    rows = [result_to_dict(r) for r in sweep(config, args.parameter, grid)]
+    payload = {"parameter": args.parameter, "grid": grid, "rows": rows}
     comments = (
         f"# sweep parameter: {args.parameter}",
         "# grid: " + ",".join(repr(v) for v in grid),
     )
-    _emit_results(args, config, results, json_payload=payload, comments=comments)
+    _emit_results(args, config, rows, json_payload=payload, comments=comments)
     return 0
 
 

@@ -14,9 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import add
 
 from . import entangleswap, fidelity
 from .cvhomodyne import HomodynePrep, homodyne_expectation
@@ -294,6 +292,8 @@ def _parse_output(doc, path: str = "output") -> OutputSpec:
 
 
 def _check_station(body: Body, radius: float, motion: Motion, path: str) -> None:
+    if radius != radius:  # NaN: only a sweep point's radius gets here
+        raise ConfigError(f"{path}: expected a number, got {radius!r}")
     if not (radius >= body.radius):
         raise ConfigError(f"{path}: below the body surface r = {body.radius} m, got {radius}")
     if radius <= body.schwarzschild_radius:
@@ -589,8 +589,8 @@ def reference_table() -> list[dict]:
 SWEEP_PARAMETERS = ("width_hz", "peak_hz", "receiver_radius_m", "q")
 
 # Largest accepted sweep grid: a 10^5-point receiver_radius_m sweep
-# prints 96 MB of JSON in about 3.5 s and peaks at 440 MB on a 2-core
-# host (BENCH_14.json), and the cost grows linearly from there.
+# prints 96 MB of JSON in 3.1-3.5 s and peaks at 442 MB on a 2-core
+# host (BENCH_15.json), and the cost grows linearly from there.
 _MAX_GRID_POINTS = 100_000
 
 
@@ -698,7 +698,7 @@ def _repr_texts(values) -> list[str]:
     return list(map(repr, values))
 
 
-def render_json(rows: list[dict] | dict, precision: int | None = None) -> str:
+def render_json(doc, precision: int | None = None) -> str:
     """JSON text with a two-space indent; floats rounded to `precision`
     significant digits when given (pass None or 17 for full round-trip
     fidelity).  JSON has no Infinity, so +-inf is written as null, which
@@ -706,77 +706,24 @@ def render_json(rows: list[dict] | dict, precision: int | None = None) -> str:
     past the largest float.
 
     The text is byte for byte json.dumps(doc, indent=2) + "\n" of the
-    rounded document with every infinity replaced by None, written in
-    one pass: each float is rounded and formatted once, and each
-    distinct string, key list and all-string object (a row's tags) is
-    encoded once per call.  At precisions up to 15 a float's text is
-    format()'s rounded text, with ".0" added to a whole number; it is
-    parsed back and written by repr only when its exponent lies between
-    the precision and 15 or |v| < 1e-300.  A value json cannot encode
-    raises json's own TypeError.
+    rounded document with every infinity replaced by None, and a value
+    json cannot encode raises json's own error.  One column writer
+    writes it.  Every list is a column of values, and every dict is a
+    row of a table: the dicts of a column are grouped by key order, and
+    each group is written _ROW_BLOCK rows at a time, column by column,
+    each row filling one % template of the key texts.  A block of equal
+    rows of strs (a sweep's tags) fills it once, and a lone dict is a
+    one-row table.
 
-    A list of dicts that share one key order of str keys (a sweep's rows)
-    is written as a table, column by column and _ROW_BLOCK rows at a
-    time: an all-float column is formatted in one % call, a column of
-    None or of equal all-string objects (the rows' tags) takes one text,
-    and each row fills one template of the key texts.  A list of floats
-    (a sweep's grid) is one float column.  Any other list is written
-    item by item.
+    number() is the one float rule.  A column of floats is formatted in
+    one % call at precisions up to 15, and a column of one repeated
+    value once.  A text of that call goes through number() wherever
+    repr's text could differ: a text without a point, one with a
+    positive exponent, and that of a value below 1e-300 in magnitude.
     """
     float_repr = float.__repr__
+    string = encode_basestring_ascii
     spec = f".{precision}g"
-
-    def rounded(v: float) -> str:
-        # Up to 15 significant digits a decimal survives the round trip
-        # through a normal double, so format's digits are repr's and only
-        # the notation can differ: repr writes exponents -4..15 in fixed
-        # point, format -4..precision-1.
-        if precision <= 15 and (v >= 1e-300 or v <= -1e-300 or v == 0.0):
-            text = format(v, spec)
-            if "e" not in text:
-                return text if "." in text else text + ".0"
-            if "e-" in text or int(text.partition("e+")[2]) >= 16:
-                return text
-            return float_repr(float(text))
-        return float_repr(float(format(v, spec)))
-
-    if precision is None:
-        rounded = float_repr
-    strings: dict[str, str] = {}
-    shapes: dict[tuple, list[str]] = {}  # (indent, keys) -> "{" or "," + indent + key + ": "
-    string_objects: dict[tuple, str] = {}
-
-    def texts(values, inner: str) -> list[str]:
-        # below 1e308 in magnitude a float stays finite when rounded
-        return [
-            rounded(v)
-            if type(v) is float and -1e308 < v < 1e308
-            else "null" if v is None else value(v, inner)
-            for v in values
-        ]
-
-    def float_texts(values: tuple) -> list[str]:
-        # each float of values as texts() writes it; at precisions up to
-        # 15, in one % call
-        if precision is None:
-            if math.isfinite(sum(values)):  # no inf or nan
-                return _repr_texts(values)
-            return texts(values, "")
-        if precision > 15:
-            return texts(values, "")
-        joined = ",".join(["%" + spec] * len(values)) % values
-        if "e" not in joined and joined.count(".") == len(values):
-            return joined.split(",")
-        # rounded()'s text from format()'s: as it is, or parsed back and
-        # written by repr for an exponent from the precision to 15
-        return [
-            text
-            if ("e" not in text and "." in text) or ("e-" in text and not -1e-300 < v < 1e-300)
-            else float_repr(float(text))
-            if text[-4:-2] == "e+" and text[-2:] < "16"
-            else texts((v,), "")[0]
-            for v, text in zip(values, joined.split(","))
-        ]
 
     def number(v) -> str:
         if not math.isfinite(v):
@@ -787,13 +734,25 @@ def render_json(rows: list[dict] | dict, precision: int | None = None) -> str:
                 return "null"
         return float_repr(v)
 
-    def string(s) -> str:
-        if type(s) is not str:
-            return encode_basestring_ascii(s)
-        text = strings.get(s)
-        if text is None:
-            text = strings[s] = encode_basestring_ascii(s)
-        return text
+    def float_texts(values) -> list[str]:
+        if precision is None and math.isfinite(sum(values)):  # no inf or nan
+            return _repr_texts(values)
+        if precision is None or precision > 15:
+            return list(map(number, values))
+        # Up to 15 significant digits a decimal survives the round trip
+        # through a normal double, so format's digits are repr's and only
+        # the notation can differ: repr writes exponents -4..15 in fixed
+        # point, format -4..precision-1.
+        joined = ",".join(["%" + spec] * len(values)) % tuple(values)
+        texts = joined.split(",")
+        if "e" not in joined and joined.count(".") == len(texts):
+            return texts
+        return [
+            text
+            if ("." in text and "e" not in text) or ("e-" in text and not -1e-300 < v < 1e-300)
+            else number(v)
+            for v, text in zip(values, texts)
+        ]
 
     def key(k) -> str:
         if isinstance(k, str):
@@ -803,6 +762,8 @@ def render_json(rows: list[dict] | dict, precision: int | None = None) -> str:
         return json.dumps({k: None})[1:-7]
 
     def value(v, indent: str) -> str:
+        if v is None:
+            return "null"
         if isinstance(v, str):
             return string(v)
         if v is True:
@@ -814,87 +775,68 @@ def render_json(rows: list[dict] | dict, precision: int | None = None) -> str:
         if isinstance(v, int):
             return int.__repr__(v)
         if isinstance(v, dict):
-            return mapping(v, indent)
+            return rows((v,), indent)[0]
         if isinstance(v, (list, tuple)):
-            return sequence(v, indent)
-        return json.dumps(v)  # None, or json's TypeError
+            if not v:
+                return "[]"
+            inner = indent + "  "
+            texts = column(v, inner)
+            texts[0] = "[" + inner + texts[0]
+            texts[-1] += indent + "]"
+            return ("," + inner).join(texts)
+        return json.dumps(v)  # json's TypeError
 
-    def mapping(d: dict, indent: str) -> str:
-        if not d:
-            return "{}"
-        inner = indent + "  "
-        shape = (inner, tuple(d))
-        heads = shapes.get(shape)
-        if heads is None:
-            heads = [("," if i else "{") + inner + key(k) + ": " for i, k in enumerate(shape[1])]
-            # only str keys: 1, 1.0 and True are equal keys with different texts
-            if {*map(type, shape[1])} != {str}:
-                return "".join(map(add, heads, texts(d.values(), inner))) + indent + "}"
-            shapes[shape] = heads
-        values = d.values()
-        if type(next(iter(values))) is str and {*map(type, values)} == {str}:
-            memo = (shape, tuple(values))
-            text = string_objects.get(memo)
-            if text is None:
-                text = "".join(map(add, heads, map(string, values))) + indent + "}"
-                string_objects[memo] = text
-            return text
-        return "".join(map(add, heads, texts(values, inner))) + indent + "}"
-
-    def cells(column: tuple, indent: str) -> list[str]:
-        kinds = {*map(type, column)}
+    def column(values, indent: str) -> list[str]:
+        # the text of each value, written at indent
+        kinds = {*map(type, values)}
         if kinds == {float}:
-            return _float_column(column, float_texts)
-        first = column[0]
-        # A column of None, or of equal all-str objects with one key order
-        # (a sweep's tags), has one text: what equals a str is a str or a
-        # str subclass, and json writes those alike.
-        if kinds == {type(None)} or (
-            kinds == {dict}
-            and first
-            and {*map(type, first)} == {*map(type, first.values())} == {str}
-            and all(map(tuple(first).__eq__, map(tuple, column)))
-            and column.count(first) == len(column)
-        ):
-            return [value(first, indent)] * len(column)
-        return texts(column, indent)
+            return _float_column(values, float_texts)
+        if kinds == {str}:
+            return list(map(string, values))
+        if kinds == {type(None)}:
+            return ["null"] * len(values)
+        if kinds == {dict}:
+            return rows(values, indent)
+        return [value(v, indent) for v in values]
 
-    def table(rows, inner: str) -> str:
-        # rows share one key order of str keys
-        row_inner = inner + "  "
-        template = "{" + ",".join(
-            row_inner + string(k).replace("%", "%%") + ": %s" for k in rows[0]
-        ) + inner + "}"
-        comma = "," + inner
-        blocks = []
-        for start in range(0, len(rows), _ROW_BLOCK):
-            block = rows[start:start + _ROW_BLOCK]
-            columns = [cells(c, row_inner) for c in zip(*map(dict.values, block))]
-            # one % call fills the block's rows, cell texts in row order
-            cells_by_row = (*chain.from_iterable(zip(*columns)),)
-            blocks.append(comma.join([template] * len(block)) % cells_by_row)
-        return comma.join(blocks)
+    def rows(dicts, indent: str) -> list[str]:
+        # the text of each dict, one table per key order
+        keys = tuple(dicts[0])
+        if all(map(keys.__eq__, map(tuple, dicts))):
+            return table(dicts, keys, indent)
+        groups: dict[tuple, list[int]] = {}
+        for index, d in enumerate(dicts):
+            groups.setdefault(tuple(d), []).append(index)
+        texts = [""] * len(dicts)
+        for keys, indexes in groups.items():
+            for index, text in zip(indexes, table([dicts[i] for i in indexes], keys, indent)):
+                texts[index] = text
+        return texts
 
-    def sequence(seq, indent: str) -> str:
-        if not seq:
-            return "[]"
+    def table(dicts, keys: tuple, indent: str) -> list[str]:
+        # dicts share the key order keys
+        if not keys:
+            return ["{}"] * len(dicts)
+        if len(dicts) > 1 and {*map(type, keys)} != {str}:
+            # 1, 1.0 and True are equal keys with different texts
+            return [table((d,), tuple(d), indent)[0] for d in dicts]
         inner = indent + "  "
-        kinds = {*map(type, seq)}
-        first = seq[0]
-        if kinds == {float}:
-            body = ("," + inner).join(_float_column(tuple(seq), float_texts))
-        elif (
-            kinds == {dict}
-            and first
-            and {*map(type, first)} == {str}
-            and all(map(tuple(first).__eq__, map(tuple, seq)))
-        ):
-            body = table(seq, inner)
-        else:
-            body = ("," + inner).join(texts(seq, inner))
-        return "[" + inner + body + indent + "]"
+        template = "{" + ",".join(inner + key(k).replace("%", "%%") + ": %s" for k in keys) + indent + "}"
+        texts = []
+        for start in range(0, len(dicts), _ROW_BLOCK):
+            block = dicts[start:start + _ROW_BLOCK]
+            first = block[0]
+            # tuples from lists: one from a map is built at 10 items and
+            # resized, which grows CPython's free list of its final size
+            if {*map(type, first.values())} == {str} and block.count(first) == len(block):
+                # equal rows of strs (a sweep's tags) have one text
+                texts += [template % (*map(string, first.values()),)] * len(block)
+            else:
+                columns = [column(c, inner) for c in zip(*[d.values() for d in block])]
+                texts += map(template.__mod__, zip(*columns))
+        return texts
 
-    return texts((rows,), "\n")[0] + "\n"
+    return value(doc, "\n") + "\n"
 
 
 def _csv_cell(value) -> str:
@@ -928,19 +870,14 @@ def render_csv(rows: list[dict], columns: list[str], tags: dict | None = None) -
             lines.append(f"# {key}: {tags[key]}")
     lines.append(",".join(columns))
     # column by column, _ROW_BLOCK rows at a time
-    names = tuple(columns)
-    fill = ",".join(["%s"] * len(names)).__mod__
+    fill = ",".join(["%s"] * len(columns)).__mod__
     for start in range(0, len(rows), _ROW_BLOCK):
         block = rows[start:start + _ROW_BLOCK]
-        if {*map(type, block)} == {dict} and all(map(names.__eq__, map(tuple, block))):
-            table = zip(*map(dict.values, block))
-        else:
-            table = ([row.get(name) for row in block] for name in names)
         cells = [
             _float_column(column, _repr_texts)
             if {*map(type, column)} == {float}
             else list(map(_csv_cell, column))
-            for column in table
+            for column in ([row.get(name) for row in block] for name in columns)
         ]
         # with no columns, every row is an empty line
         lines.extend(map(fill, zip(*cells)) if cells else [""] * len(block))

@@ -274,6 +274,37 @@ class TestValidation:
     def test_comma_grids_keep_infinities(self):
         assert cli._parse_grid("1,inf, -inf") == [1.0, math.inf, -math.inf]
 
+    @pytest.mark.parametrize(
+        "grid", ["lin:-1e308:1e308:3", "lin:-1e308:1e308:1", "lin:1.7976931348623157e308:-1e308:2"]
+    )
+    def test_sweep_lin_range_wider_than_the_largest_float(self, gravlink, leo_config, monkeypatch, grid):
+        # STOP - START is inf, and 0 * inf would make point 0 NaN
+        def no_points(*args):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(cli, "sweep", no_points)
+        proc = gravlink("sweep", str(leo_config), "--parameter", "q", "--grid", grid)
+        self._rejected(proc, f"sweep.grid: lin range wider than the largest float, got {grid!r}")
+
+    def test_lin_range_just_inside_the_largest_float(self):
+        assert cli._parse_grid("lin:-8e307:8e307:3") == [-8e307, 0.0, 8e307]
+
+    def test_sweep_nan_radius_gets_the_config_message(self, gravlink, leo_config, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(dict(LEO_CONFIG, receiver={"radius_m": math.nan})))
+        message = "receiver.radius_m: expected a number, got nan\n"
+        assert gravlink("run", str(path)).stderr == "gravlink: " + message
+        proc = gravlink("sweep", str(leo_config), "--parameter", "receiver_radius_m", "--grid", "7e6,nan")
+        self._rejected(proc, "sweep.grid[1]: " + message)
+
+    def test_sweep_infinite_radius_is_the_far_field(self, gravlink, tmp_path):
+        path = tmp_path / "static.json"
+        path.write_text(json.dumps(dict(LEO_CONFIG, receiver={"radius_m": 7e6, "motion": "static"})))
+        (row,) = _rows(gravlink("sweep", str(path), "--parameter", "receiver_radius_m", "--grid", "inf"))
+        path.write_text(json.dumps(dict(LEO_CONFIG, receiver="far_field")))
+        far = json.loads(gravlink("run", str(path)).stdout)
+        assert {k: row[k] for k in RESULT_FIELDS} == {k: far[k] for k in RESULT_FIELDS}
+
 
     @pytest.mark.parametrize(
         "argv, field",

@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import random
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from gravlink.scenario import (
     render_csv,
     render_json,
     result_to_dict,
+    run_scenario,
     sweep,
 )
 
@@ -156,6 +158,8 @@ _NAMED_FLOATS = {
     "rounds-to-a-power-of-ten": [9.9999999999995e15, -9.9999999999995e15, 9.99999999999995e14,
                                  999999999999.5, 9.9999999999995e-5, 9.99999999999999e15],
     "negative-zero": [-0.0, 0.0, [-0.0], {"z": -0.0}],
+    # equal keys with different texts, in one column of dicts
+    "equal-keys": [{1: 1.0}, {True: 1.0}, {1.0: 1.0}, {0: -0.0}, {False: 0.0}, {-0.0: 0.0}, {0.0: 0.0}],
 }
 
 
@@ -297,3 +301,56 @@ def test_sweeps_past_the_row_block_match_the_oracles(parameter):
     tags = {key: tag for r in results for key, tag in r.tags.items()}
     columns = list(RESULT_FIELDS)
     assert render_csv(table, columns, tags) == _old_render_csv(table, columns, tags)
+    # the CLI's rows: result_to_dict's, with tags after the columns
+    rows = doc["rows"]
+    assert render_csv(rows, columns, tags) == _old_render_csv(rows, columns, tags)
+
+
+_PROTOCOLS = [
+    {"kind": "single_photon"},
+    {"kind": "coherent", "alpha": 1.5},
+    {"kind": "tmss", "s": 0.8},
+    {"kind": "entangle_qkd"},
+    {"kind": "cv_homodyne", "alpha": 0.5, "beta": 30.0},
+]
+
+
+@pytest.fixture(scope="module")
+def batch_rows():
+    """result_to_dict rows of every protocol kind, shuffled as a batch of
+    independent runs interleaves them.  A quarter of the entangle_qkd
+    runs carry a Monte Carlo, so the rows have two key orders (with and
+    without extras) and their tags four."""
+    rng = random.Random(2021)
+    rows = []
+    for i in range(2 * _ROW_BLOCK + 400):
+        doc = {
+            "body": "earth",
+            "emitter": "ground",
+            "receiver": {"radius_m": rng.uniform(6.5e6, 4e7), "motion": rng.choice(["static", "orbit"])},
+            "source": rng.choice(["spdc_blue", "rb_vapor"]),
+            "protocol": _PROTOCOLS[i % 5],
+        }
+        if i % 20 == 3:
+            doc["monte_carlo"] = {"trials": 10_000, "seed": i}
+        rows.append(result_to_dict(run_scenario(parse_config(doc))))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_batch_rows_interleave_their_shapes(batch_rows):
+    assert len({tuple(row) for row in batch_rows}) == 2
+    assert len({tuple(row["tags"]) for row in batch_rows}) == 4
+    blocks = [batch_rows[i:i + _ROW_BLOCK] for i in range(0, len(batch_rows), _ROW_BLOCK)]
+    assert len(blocks) == 3 and all(len({"extras" in row for row in b}) == 2 for b in blocks)
+
+
+@pytest.mark.parametrize("precision", [None, 12, 15, 17])
+def test_batch_rows_match_json_dumps(batch_rows, precision):
+    assert render_json(batch_rows, precision) == _old_render_json(batch_rows, precision)
+
+
+def test_batch_rows_match_the_cell_formatter(batch_rows):
+    tags = {key: tag for row in batch_rows for key, tag in row["tags"].items()}
+    columns = list(RESULT_FIELDS)
+    assert render_csv(batch_rows, columns, tags) == _old_render_csv(batch_rows, columns, tags)

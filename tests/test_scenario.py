@@ -381,11 +381,14 @@ class TestSweep:
         "parameter, grid, message",
         [
             ("receiver_radius_m", [7e6, 1.0, 2.0], r"sweep\.grid\[1\]: receiver\.radius_m"),
+            # the message a config gets for the same value, not the surface's
+            ("receiver_radius_m", [7e6, math.nan],
+             r"^sweep\.grid\[1\]: receiver\.radius_m: expected a number, got nan$"),
             ("q", [0.5, 1.5], r"sweep\.grid\[1\]: q must lie in \[0, 1\]"),
             ("width_hz", [1e6, 1e13], r"sweep\.grid\[1\]: source: peak_hz/width_hz"),
             ("peak_hz", [5e7, 700e12], r"sweep\.grid\[0\]: source: peak_hz/width_hz"),
         ],
-        ids=["receiver_radius_m", "q", "width_hz", "peak_hz"],
+        ids=["receiver_radius_m", "receiver_radius_m-nan", "q", "width_hz", "peak_hz"],
     )
     def test_out_of_domain_points_name_their_index(self, parameter, grid, message):
         with pytest.raises(ConfigError, match=message):
