@@ -31,7 +31,6 @@ from .scenario import (
     _check_q,
     _link_geometry,
     _parse_body,
-    _parse_link,
     _parse_monte_carlo,
     _parse_protocol,
     _parse_source,
@@ -154,14 +153,16 @@ def _source(args) -> GaussianPacket:
 
 def _link(args, alternative: str = "") -> tuple[Body, Observer, Observer]:
     """Body, emitter and receiver from the geometry flags; the emitter is
-    static and defaults to the body surface."""
+    static and defaults to the body surface (orbiting emitters come in
+    through configs)."""
     body_doc = _flag_doc(args.body, "body", mass_kg=args.mass_kg, radius_m=args.body_radius_m)
     body = _parse_body(body_doc or "earth")
     receiver = _receiver_doc(args)
     if not receiver:
         raise ConfigError(f"receiver: give --receiver or --receiver-radius-m{alternative}")
     radius = body.radius if args.emitter_radius_m is None else args.emitter_radius_m
-    return (body, *_parse_link(body, {"radius_m": radius}, receiver))
+    emitter = _parse_station(body, {"radius_m": radius}, "emitter")
+    return body, emitter, _parse_station(body, receiver, "receiver")
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +361,7 @@ def _cmd_cv_homodyne(args) -> int:
     proto = _parse_protocol({"kind": "cv_homodyne", "alpha": args.alpha, "beta": args.beta})
     prep = HomodynePrep(alpha=proto.alpha, beta=proto.beta)
     earth = _parse_body("earth")
-    ground, iss, far_field = (_parse_station(name, name) for name in ("ground", "iss", "far_field"))
+    ground, iss, far_field = (_parse_station(earth, n, n) for n in ("ground", "iss", "far_field"))
     scenarios = [
         (Body(mass=0.0, radius=earth.radius), ground, iss),
         (earth, ground, iss),

@@ -20,9 +20,12 @@ from . import entangleswap, fidelity
 from .cvhomodyne import HomodynePrep, homodyne_expectation
 from .spacetime import (
     Body,
+    HorizonError,
     Motion,
     Observer,
+    PhotonSphereError,
     ShiftParameter,
+    _log_rate_factor,
     coordinate_travel_time,
     redshift_total,
     shift_parameter,
@@ -202,7 +205,9 @@ def _parse_body(doc, path: str = "body") -> Body:
     return Body(mass=mass, radius=_positive(doc, "radius_m", path))
 
 
-def _parse_station(doc, path: str) -> Observer:
+def _parse_station(body: Body, doc, path: str) -> Observer:
+    """An emitter or receiver over body: on or above its surface, and
+    inside the domain of spacetime's rate factor (horizon, photon sphere)."""
     if isinstance(doc, str):
         if doc not in STATION_PRESETS:
             raise ConfigError(f"{path}: unknown preset {doc!r} (have {sorted(STATION_PRESETS)})")
@@ -210,8 +215,6 @@ def _parse_station(doc, path: str) -> Observer:
     doc = _require_mapping(doc, path)
     _reject_unknown(doc, {"radius_m", "motion"}, path)
     radius = _number(doc, "radius_m", path)
-    if not (radius > 0.0):
-        raise ConfigError(f"{path}.radius_m: must be > 0, got {radius}")
     motion_raw = doc.get("motion", "static")
     try:
         motion = Motion(motion_raw)
@@ -219,7 +222,14 @@ def _parse_station(doc, path: str) -> Observer:
         raise ConfigError(
             f"{path}.motion: expected 'static' or 'orbit', got {motion_raw!r}"
         ) from None
-    return Observer(radius=radius, motion=motion)
+    if not (radius >= body.radius):
+        raise ConfigError(f"{path}.radius_m: below the body surface r = {body.radius} m, got {radius}")
+    station = Observer(radius=radius, motion=motion)
+    try:
+        _log_rate_factor(body, station)
+    except (HorizonError, PhotonSphereError) as exc:
+        raise ConfigError(f"{path}.radius_m: {exc}") from None
+    return station
 
 
 def _parse_source(doc, path: str = "source") -> GaussianPacket:
@@ -291,34 +301,6 @@ def _parse_output(doc, path: str = "output") -> OutputSpec:
     return OutputSpec(format=fmt, path=out_path)
 
 
-def _check_station(body: Body, radius: float, motion: Motion, path: str) -> None:
-    if radius != radius:  # NaN: only a sweep point's radius gets here
-        raise ConfigError(f"{path}: expected a number, got {radius!r}")
-    if not (radius >= body.radius):
-        raise ConfigError(f"{path}: below the body surface r = {body.radius} m, got {radius}")
-    if radius <= body.schwarzschild_radius:
-        raise ConfigError(f"{path}: at or below the horizon")
-    # the bound spacetime._log_rate_factor enforces, in the same arithmetic
-    if motion is Motion.CIRCULAR_ORBIT and 3.0 * body.geometric_mass / radius >= 1.0:
-        raise ConfigError(
-            f"{path}: a circular orbit needs r > 1.5 r_s = {3.0 * body.geometric_mass} m,"
-            f" got {radius}"
-        )
-
-
-def _parse_link(body: Body, emitter_doc, receiver_doc) -> tuple[Observer, Observer]:
-    """Parse both stations and check the link they form over body: a
-    static emitter, neither station below the surface or the horizon,
-    and an orbiting receiver outside the photon sphere."""
-    emitter = _parse_station(emitter_doc, "emitter")
-    receiver = _parse_station(receiver_doc, "receiver")
-    if emitter.motion is not Motion.STATIC:
-        raise ConfigError("emitter.motion: orbiting emitters are not supported")
-    _check_station(body, emitter.radius, emitter.motion, "emitter.radius_m")
-    _check_station(body, receiver.radius, receiver.motion, "receiver.radius_m")
-    return emitter, receiver
-
-
 def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a configuration document (presets expanded, strict keys)."""
     doc = _require_mapping(doc, "config")
@@ -331,11 +313,10 @@ def parse_config(doc: dict) -> ScenarioConfig:
         if key not in doc:
             raise ConfigError(f"config.{key}: missing")
     body = _parse_body(doc["body"])
-    emitter, receiver = _parse_link(body, doc["emitter"], doc["receiver"])
     config = ScenarioConfig(
         body=body,
-        emitter=emitter,
-        receiver=receiver,
+        emitter=_parse_station(body, doc["emitter"], "emitter"),
+        receiver=_parse_station(body, doc["receiver"], "receiver"),
         source=_parse_source(doc["source"]),
         protocol=_parse_protocol(doc["protocol"]),
         monte_carlo=_parse_monte_carlo(doc["monte_carlo"]) if "monte_carlo" in doc else None,
@@ -638,12 +619,11 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
             return _result({**empty, "Delta": d, "q": value, "tags": tags.copy(), "extras": {},
                             **figures(d, value, proto)})
     elif parameter == "receiver_radius_m":
-        motion = config.receiver.motion
+        motion = config.receiver.motion.value
 
         def point(value):
-            _check_station(body, value, motion, "receiver.radius_m")
-            geometry = _link_geometry(body, emitter, Observer(radius=value, motion=motion))
-            return _link_result(geometry, peak, width, proto)
+            receiver = _parse_station(body, {"radius_m": value, "motion": motion}, "receiver")
+            return _link_result(_link_geometry(body, emitter, receiver), peak, width, proto)
     else:
         geometry = _link_geometry(body, emitter, config.receiver)
 

@@ -53,7 +53,7 @@ class Motion(enum.Enum):
 
 
 class Sign(enum.Enum):
-    """Direction of a frequency shift: UP = redshift (receiver higher)."""
+    """Direction of a frequency shift: UP when Omega_B/Omega_A < 1 (redshift), else DOWN."""
 
     UP = "up"
     DOWN = "down"
@@ -135,44 +135,43 @@ def _check_above_horizon(body: Body, r: float) -> None:
 
 
 def _log_rate_factor(body: Body, obs: Observer) -> float:
-    """log of the clock-rate factor: 1 - 2M/r static, 1 - 3M/r on orbit."""
+    """log of the station's clock-rate factor 1/(u^t)^2: 1 - 2M/r static,
+    1 - 3M/r on a circular orbit (Omega^2 = M/r^3)."""
     _check_above_horizon(body, obs.radius)
     mu = body.geometric_mass
     if obs.motion is Motion.CIRCULAR_ORBIT:
         x = 3.0 * mu / obs.radius
         if x >= 1.0:
             raise PhotonSphereError(
-                f"circular orbit needs r > 1.5 r_s; got r = {obs.radius} m"
-                f" with r_s = {2.0 * mu} m"
+                f"a circular orbit needs r > 1.5 r_s = {3.0 * mu} m, got {obs.radius}"
             )
         return math.log1p(-x)
     return math.log1p(-2.0 * mu / obs.radius)
 
 
 def _log_rate_ratio(body: Body, emitter: Observer, receiver: Observer) -> float:
-    """log(rate_A/rate_B) for a static emitter A and a receiver B."""
-    if emitter.motion is not Motion.STATIC:
-        raise ValueError("orbiting emitters are not supported; emitter must be static")
+    """log(rate_A/rate_B) for an emitter A and a receiver B."""
     return _log_rate_factor(body, emitter) - _log_rate_factor(body, receiver)
 
 
 def redshift_total(body: Body, emitter: Observer, receiver: Observer) -> float:
-    """Frequency ratio Omega_B/Omega_A including receiver orbital motion.
+    """Frequency ratio Omega_B/Omega_A = sqrt(rate_A/rate_B) = u^t_B/u^t_A.
 
-    Static emitter at r_A, receiver either static (plain gravitational
-    shift) or on a circular orbit, where time dilation replaces the
-    receiver factor 1 - 2M/r_B by 1 - 3M/r_B:
+    A radial photon conserves k_t, so each station's factor is its own
+    u^t whichever end emits: rate = 1 - 2M/r for a static station and
+    1 - 3M/r on a circular orbit, where time dilation adds the orbital
+    term.  So uplinks, downlinks and links between two satellites are
+    one formula, and swapping the stations inverts the ratio.
 
-        Omega_B/Omega_A = sqrt((1 - 2M/r_A) / (1 - 3M/r_B))
-
-    A low-orbit receiver above a ground emitter can come out *blue*
-    shifted: the orbital 3M term wins below r_B = 1.5 r_A.
+    A low-orbit receiver above a static ground emitter can come out
+    *blue* shifted: the orbital 3M term wins below r_B = 1.5 r_A.
     """
     return math.exp(0.5 * _log_rate_ratio(body, emitter, receiver))
 
 
 def shift_parameter(body: Body, emitter: Observer, receiver: Observer) -> ShiftParameter:
-    """Fourth-root shift delta = |((1-2M/r_A)/(1-3M/r_B))^(1/4) - 1|.
+    """Fourth-root shift delta = |(rate_A/rate_B)^(1/4) - 1| = |sqrt(Omega_B/Omega_A) - 1|
+    for any pair of stations (rates as in redshift_total).
 
     Evaluated as expm1 of a quarter log difference so that delta ~ 1e-10
     keeps full relative precision.  sign is UP exactly when the
@@ -194,8 +193,10 @@ def tortoise(body: Body, r: float) -> float:
 
 def coordinate_travel_time(body: Body, r_from: float, r_to: float) -> float:
     """Schwarzschild coordinate time |r_*(to) - r_*(from)|/c for a radial
-    null ray between the two radii."""
-    return abs(tortoise(body, r_to) - tortoise(body, r_from)) / C
+    null ray between the two radii; equal radii are co-located stations,
+    0 even at r = inf."""
+    gap = tortoise(body, r_to) - tortoise(body, r_from)
+    return 0.0 if r_from == r_to else abs(gap) / C
 
 
 def radius_after(body: Body, r_0: float, t: float) -> float:

@@ -530,6 +530,19 @@ class TestRedshift:
         assert rows[0]["travel_time_s"] is None
         assert rows[0]["sign"] == "up"
 
+    def test_co_located_far_field_stations_take_no_time(self, gravlink, tmp_path):
+        # inf - inf in the tortoise coordinates used to print NaN
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(dict(LEO_CONFIG, emitter="far_field", receiver="far_field")))
+        for argv in (["redshift", "--emitter-radius-m", "inf", "--receiver", "far_field"],
+                     ["run", str(path)]):
+            for fmt in ("json", "csv"):
+                proc = gravlink(*argv, "--format", fmt)
+                assert proc.returncode == 0, proc.stderr
+                assert "nan" not in proc.stdout.lower()
+            doc = json.loads(gravlink(*argv).stdout)
+            assert (doc["rows"][0] if "rows" in doc else doc)["travel_time_s"] == 0.0
+
     def test_explicit_geometry(self, gravlink):
         rows = _rows(
             gravlink(
@@ -684,6 +697,19 @@ class TestRunAndSweep:
         # a flag overrides the block: --format json still writes to its path
         assert gravlink(*argv, "--format", "json").returncode == 0
         assert [r["q"] for r in json.loads(target.read_text())["rows"]] == [0.0, 0.5]
+
+    def test_downlink_runs_end_to_end(self, gravlink, tmp_path):
+        docs = {"up": dict(LEO_CONFIG), "down": dict(LEO_CONFIG, emitter="iss", receiver="ground")}
+        rows = {}
+        for name, doc in docs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            proc = gravlink("run", str(path), "--precision", "17")
+            assert proc.returncode == 0, proc.stderr
+            rows[name] = json.loads(proc.stdout)
+        up, down = rows["up"], rows["down"]
+        assert abs(down["redshift_ratio"] * up["redshift_ratio"] - 1.0) <= 2 * 2.0**-52
+        assert down["q"] == pytest.approx(up["q"], rel=1e-12)
 
     def test_sweep_log_grid(self, gravlink, leo_config):
         proc = gravlink(

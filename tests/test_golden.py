@@ -43,6 +43,8 @@ CLI_CONFIGS = {
     "cv_homodyne": dict(_LINK, protocol={"kind": "cv_homodyne", "alpha": 0.5, "beta": 30.0}),
     # a massless body: delta = 0 exactly, swept to peak/width ratios of 7e175
     "flat": dict(_LINK, body={"mass_kg": 0.0, "radius_m": 6.371e6}, protocol="entangle_qkd"),
+    # the uplink of entangle_qkd run backwards, from an orbiting emitter
+    "downlink": dict(_LINK, emitter="iss", receiver="ground", protocol="entangle_qkd"),
 }
 
 _SWEEPS = {
@@ -78,9 +80,10 @@ def _cli_cases() -> dict[str, list[str]]:
             "sweep", "{flat}", "--parameter", "width_hz", "--grid", "1e-161,1e-10,1e6,1e12",
             *_FORMATS[label],
         ]
-    for kind in CLI_CONFIGS.keys() - {"flat"}:
+    for kind in CLI_CONFIGS.keys() - {"flat", "downlink"}:
         for label in ("json", "csv"):
             cases[f"run-{kind}-{label}"] = ["run", "{" + kind + "}", *_FORMATS[label]]
+    cases["run-downlink-json"] = ["run", "{downlink}"]
     cases["overlap-quadrature"] = ["overlap", "--receiver", "iss", "--quadrature"]
     cases["overlap-quadrature-rb_vapor"] = [
         "overlap", "--receiver", "far_field", "--source", "rb_vapor", "--quadrature",

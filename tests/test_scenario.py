@@ -121,8 +121,6 @@ class TestParsing:
              "monte_carlo.seed: must be an integer >= 0"),
             (lambda c: c.update(receiver={"radius_m": 6.771e6, "motion": "hover"}),
              "receiver.motion"),
-            (lambda c: c.update(emitter={"radius_m": 6.371e6, "motion": "orbit"}),
-             "emitter.motion: orbiting"),
             (lambda c: c.update(output={"format": "yaml"}), "output.format"),
             (lambda c: c.update(protocol={"kind": "coherent", "alpha": math.nan}),
              "protocol.alpha: expected a number"),
@@ -136,6 +134,10 @@ class TestParsing:
              "body.mass_kg: must be finite"),
             (lambda c: c.update(receiver={"radius_m": 6.0e6}), "receiver.radius_m: below the body surface"),
             (lambda c: c.update(emitter={"radius_m": 1.0}), "emitter.radius_m: below the body surface"),
+            (lambda c: c.update(receiver={"radius_m": 0.0}),
+             r"^receiver\.radius_m: below the body surface r = 6371000\.0 m, got 0\.0$"),
+            (lambda c: c.update(emitter={"radius_m": -math.inf}),
+             r"^emitter\.radius_m: below the body surface r = 6371000\.0 m, got -inf$"),
         ],
     )
     def test_rejects_bad_configs_with_field_paths(self, mutate, message):
@@ -167,6 +169,41 @@ class TestParsing:
             parse_config(cfg)
         cfg["receiver"] = {"radius_m": 2000.0, "motion": "static"}
         assert parse_config(cfg).receiver.radius == 2000.0
+
+    @pytest.mark.filterwarnings("ignore:body radius")
+    def test_orbiting_emitter_inside_the_photon_sphere_names_the_emitter(self):
+        cfg = {**base_config(), **COMPACT_LINK, "emitter": {"radius_m": 2000.0, "motion": "orbit"},
+               "receiver": {"radius_m": 3000.0}}
+        with pytest.raises(ConfigError, match="^" + PHOTON_SPHERE_ERROR.replace("receiver", "emitter")):
+            parse_config(cfg)
+
+    @pytest.mark.filterwarnings("ignore:body radius")
+    def test_station_inside_the_horizon_names_its_field(self):
+        # a body inside its own horizon, r_s = 1485 m
+        cfg = {**base_config(), "body": {"mass_kg": 1e30, "radius_m": 1000.0},
+               "emitter": {"radius_m": 1700.0}, "receiver": {"radius_m": 1200.0}}
+        message = r"^receiver\.radius_m: r = 1200\.0 m is at or below the horizon r_s = 1485\.23\d* m$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg)
+
+    def test_downlink_is_the_uplink_reversed(self):
+        up = run_scenario(parse_config(base_config()))
+        config = parse_config(dict(base_config(), emitter="iss", receiver="ground"))
+        assert config.emitter == Observer(6_771_000.0, Motion.CIRCULAR_ORBIT)
+        down = run_scenario(config)
+        assert abs(down.redshift_ratio * up.redshift_ratio - 1.0) <= 2 * 2.0**-52
+        assert down.q == pytest.approx(up.q, rel=1e-12)
+        assert (down.travel_time_s, down.tags) == (up.travel_time_s, up.tags)
+        # a radius sweep of the downlink runs through the same parser
+        (point,) = sweep(config, "receiver_radius_m", [6_371_000.0])
+        assert point == down
+
+    def test_link_between_two_satellites(self):
+        geo = {"radius_m": 4.2164e7, "motion": "orbit"}
+        there = run_scenario(parse_config(dict(base_config(), emitter="iss", receiver=geo)))
+        back = run_scenario(parse_config(dict(base_config(), emitter=geo, receiver="iss")))
+        assert there.delta > 0.0 and there.q > 0.0
+        assert abs(there.redshift_ratio * back.redshift_ratio - 1.0) <= 2 * 2.0**-52
 
     @pytest.mark.filterwarnings("ignore:body radius")
     def test_photon_sphere_bound_is_the_geometry_bound(self):

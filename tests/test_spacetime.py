@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import re
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +26,7 @@ from gravlink import (
     shift_parameter,
     tortoise,
 )
+from gravlink.spacetime import _log_rate_ratio
 
 EARTH = Body(mass=5.972e24, radius=6_371_000.0)
 FLAT = Body(mass=0.0, radius=6_371_000.0)
@@ -154,19 +157,61 @@ def test_shift_parameter_zero_reports_up():
     assert shift.sign is Sign.UP
 
 
-def test_orbiting_emitter_rejected():
-    with pytest.raises(ValueError, match="emitter"):
-        shift_parameter(EARTH, ISS, GROUND)
-    with pytest.raises(ValueError, match="emitter"):
-        redshift_total(EARTH, ISS, GROUND)
+def test_orbiting_emitter_inverts_the_uplink():
+    # ISS -> ground is ground -> ISS run backwards: the same delta, the
+    # opposite sign and the inverse frequency ratio
+    down, up = shift_parameter(EARTH, ISS, GROUND), shift_parameter(EARTH, GROUND, ISS)
+    assert down.delta == pytest.approx(DELTA_LEO, rel=1e-12)
+    assert (down.sign, up.sign) == (Sign.UP, Sign.DOWN)
+    product = redshift_total(EARTH, ISS, GROUND) * redshift_total(EARTH, GROUND, ISS)
+    assert abs(product - 1.0) <= 2 * 2.0**-52
 
 
 def test_orbit_inside_photon_sphere_rejected():
     heavy = Body(mass=2e30, radius=5e6)
     rs = heavy.schwarzschild_radius
     inner = Observer(1.4 * rs, Motion.CIRCULAR_ORBIT)
-    with pytest.raises(PhotonSphereError):
+    message = f"a circular orbit needs r > 1.5 r_s = {1.5 * rs} m, got {1.4 * rs}"
+    with pytest.raises(PhotonSphereError, match=f"^{re.escape(message)}$"):
         redshift_total(heavy, Observer(2.0 * rs), inner)
+    # an orbiting emitter meets the same bound
+    with pytest.raises(PhotonSphereError):
+        shift_parameter(heavy, inner, Observer(2.0 * rs))
+
+
+def _u_t(body: Body, obs: Observer) -> mpmath.mpf:
+    """u^t of a station from the normalization g_ab u^a u^b = -1 at 50
+    digits: -1 = -(1 - 2M/r) (u^t)^2 + r^2 (u^phi)^2 with u^phi = Omega u^t,
+    and Kepler's Omega^2 = M/r^3 on a circular orbit (0 for a static one)."""
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(G) * mpmath.mpf(body.mass) / mpmath.mpf(C) ** 2
+        r = mpmath.mpf(obs.radius)
+        omega2 = mu / r**3 if obs.motion is Motion.CIRCULAR_ORBIT else 0
+        return 1 / mpmath.sqrt((1 - 2 * mu / r) - r**2 * omega2)
+
+
+@pytest.mark.parametrize("motion_b", list(Motion), ids=lambda m: m.value)
+@pytest.mark.parametrize("motion_a", list(Motion), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "r_a, r_b",
+    [(R_GROUND, R_ORBIT), (R_ORBIT, R_GROUND), (R_ORBIT, 4.2164e7)],
+    ids=["ground-iss", "iss-ground", "iss-geo"],
+)
+def test_four_velocity_route(r_a, r_b, motion_a, motion_b):
+    # omega_B/omega_A = u^t_B/u^t_A for a radial photon, whichever end moves
+    a, b = Observer(r_a, motion_a), Observer(r_b, motion_b)
+    with mpmath.workdps(50):
+        ratio = _u_t(EARTH, b) / _u_t(EARTH, a)
+        delta = abs(mpmath.sqrt(ratio) - 1)
+        assert abs(redshift_total(EARTH, a, b) / ratio - 1) < 1e-12
+        assert abs(shift_parameter(EARTH, a, b).delta / delta - 1) < 1e-12
+
+
+def test_co_located_stations_take_no_time():
+    assert coordinate_travel_time(EARTH, math.inf, math.inf) == 0.0
+    assert coordinate_travel_time(EARTH, R_ORBIT, R_ORBIT) == 0.0
+    with pytest.raises(HorizonError):
+        coordinate_travel_time(EARTH, 1e-3, 1e-3)
 
 
 def test_tortoise_log_term():
@@ -231,6 +276,28 @@ def test_static_shift_reciprocity(pair, u_b):
     assert down * up == pytest.approx(1.0, rel=5e-15)
     expected = Sign.UP if r_b >= r_a else Sign.DOWN
     assert shift_parameter(body, Observer(r_a), Observer(r_b)).sign is expected
+
+
+@given(
+    _body_and_radius(min_factor=1.6),
+    st.floats(math.log(1.6), math.log(1e9)),
+    st.sampled_from(list(Motion)),
+    st.sampled_from(list(Motion)),
+)
+@settings(max_examples=200, deadline=None)
+def test_swapping_the_stations_reverses_the_link(pair, u_b, motion_a, motion_b):
+    body, r_a = pair
+    a = Observer(r_a, motion_a)
+    b = Observer(body.schwarzschild_radius * math.exp(u_b), motion_b)
+    assert _log_rate_ratio(body, b, a) == -_log_rate_ratio(body, a, b)
+    there, back = shift_parameter(body, a, b), shift_parameter(body, b, a)
+    if there.delta == 0.0 or back.delta == 0.0:
+        assert there == back == ShiftParameter(0.0, Sign.UP)
+    else:
+        assert {there.sign, back.sign} == {Sign.UP, Sign.DOWN}
+    # the deltas differ at relative order delta; the scale factors invert
+    k_there, k_back = (1.0 - s.delta if s.sign is Sign.UP else 1.0 + s.delta for s in (there, back))
+    assert abs(k_there * k_back - 1.0) <= 4 * 2.0**-52
 
 
 @given(_body_and_radius(), st.floats(1e-9, 1e-3))
