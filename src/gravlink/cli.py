@@ -252,7 +252,9 @@ def _cmd_overlap(args) -> int:
             raise ConfigError(f"delta: must lie in [0, 1), got {args.delta}")
         shift = ShiftParameter(delta=args.delta, sign=Sign(args.sign))
     else:
-        shift = _link_geometry(*_link(args, " (or --delta)"))[1]
+        link = _link(args, " (or --delta)")
+        _link_geometry(*link)  # delta >= 1 is the receiver's error, as in runs
+        shift = shift_parameter(*link)
     closed = overlap_gaussian_closed(packet, shift)
     row = {
         "delta": shift.delta,
@@ -288,8 +290,9 @@ def _cmd_overlap(args) -> int:
 def _q_from_args(args) -> float:
     if args.q is not None:
         return _check_q(args.q)
-    shift = _link_geometry(*_link(args, " (or --q)"))[1]
-    return overlap_gaussian_closed(_source(args), shift).q
+    link = _link(args, " (or --q)")
+    _link_geometry(*link)  # delta >= 1 is the receiver's error, as in runs
+    return overlap_gaussian_closed(_source(args), shift_parameter(*link)).q
 
 
 def _cmd_entangle(args) -> int:

@@ -24,17 +24,15 @@ from .spacetime import (
     Motion,
     Observer,
     PhotonSphereError,
-    ShiftParameter,
+    _link_shift,
     _log_rate_factor,
     coordinate_travel_time,
-    redshift_total,
-    shift_parameter,
 )
 from .wavepacket import (
     SOURCE_PRESETS,
     GaussianPacket,
     _overlap_at_ratio,
-    _shift_terms,
+    _scale_terms,
     _ShiftTerms,
 )
 
@@ -73,6 +71,7 @@ STATION_PRESETS: dict[str, dict] = {
     "iss": {"radius_m": 6_771_000.0, "motion": "orbit"},
     "far_field": {"radius_m": math.inf, "motion": "static"},
 }
+_MOTIONS = {motion.value: motion for motion in Motion}
 
 
 @dataclass(frozen=True)
@@ -165,8 +164,8 @@ def _require_mapping(doc, path: str) -> dict:
 
 
 def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
+    if not allowed.issuperset(doc):
+        unknown = sorted(set(doc) - allowed)
         raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)}")
 
 
@@ -174,6 +173,8 @@ def _number(doc: dict, key: str, path: str) -> float:
     if key not in doc:
         raise ConfigError(f"{path}.{key}: missing")
     val = doc[key]
+    if type(val) is float and val == val:  # not NaN
+        return val
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
     try:
@@ -217,8 +218,8 @@ def _parse_station(body: Body, doc, path: str) -> Observer:
     radius = _number(doc, "radius_m", path)
     motion_raw = doc.get("motion", "static")
     try:
-        motion = Motion(motion_raw)
-    except ValueError:
+        motion = _MOTIONS[motion_raw]
+    except (KeyError, TypeError):  # TypeError: a list or dict
         raise ConfigError(
             f"{path}.motion: expected 'static' or 'orbit', got {motion_raw!r}"
         ) from None
@@ -252,11 +253,10 @@ def _parse_protocol(doc, path: str = "protocol") -> Protocol:
         doc = {"kind": doc}
     doc = _require_mapping(doc, path)
     kind = doc.get("kind")
-    kinds = tuple(PROTOCOL_TABLE)
-    if kind not in kinds:
-        raise ConfigError(f"{path}.kind: expected one of {kinds}, got {kind!r}")
+    if not isinstance(kind, str) or kind not in PROTOCOL_TABLE:
+        raise ConfigError(f"{path}.kind: expected one of {tuple(PROTOCOL_TABLE)}, got {kind!r}")
     params = PROTOCOL_TABLE[kind][0]
-    _reject_unknown(doc, {*params, "kind"}, path)
+    _reject_unknown(doc, _PROTOCOL_KEYS[kind], path)
     values = {}
     for name in params:
         values[name] = _number(doc, name, path)
@@ -304,11 +304,7 @@ def _parse_output(doc, path: str = "output") -> OutputSpec:
 def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a configuration document (presets expanded, strict keys)."""
     doc = _require_mapping(doc, "config")
-    _reject_unknown(
-        doc,
-        {"body", "emitter", "receiver", "source", "protocol", "monte_carlo", "output"},
-        "config",
-    )
+    _reject_unknown(doc, _CONFIG_KEYS, "config")
     for key in ("body", "emitter", "receiver", "source", "protocol"):
         if key not in doc:
             raise ConfigError(f"config.{key}: missing")
@@ -405,27 +401,28 @@ PROTOCOL_TABLE = {
 }
 
 
-# Every tag of a link row, per protocol kind, in output order.
+# Every tag of a link row (in output order) and every key of a protocol
+# document, per protocol kind; and every key of a config document.
 _LINK_TAGS = {kind: {**_GEOMETRY_TAGS, **tags} for kind, (_, _, tags) in PROTOCOL_TABLE.items()}
+_PROTOCOL_KEYS = {kind: frozenset({*params, "kind"}) for kind, (params, _, _) in PROTOCOL_TABLE.items()}
+_CONFIG_KEYS = frozenset({"body", "emitter", "receiver", "source", "protocol", "monte_carlo", "output"})
 
-_Geometry = tuple[float, ShiftParameter, float, _ShiftTerms]
+_Geometry = tuple[float, float, _ShiftTerms]
 
 
 def _link_geometry(body: Body, emitter: Observer, receiver: Observer) -> _Geometry:
-    """What a link gives every source sent over it: (redshift_ratio, shift,
-    travel_time_s, overlap terms); delta >= 1 is the receiver's error."""
-    shift = shift_parameter(body, emitter, receiver)
-    if not shift.delta < 1.0:
+    """What a link gives every source sent over it, from one log rate
+    ratio per link: (redshift_ratio, travel_time_s, overlap terms, the
+    first of which is delta); delta >= 1 is the receiver's error."""
+    ratio, x = _link_shift(body, emitter, receiver)
+    delta = abs(x)
+    if not delta < 1.0:
         raise ConfigError(
-            f"receiver.radius_m: the link's shift parameter delta = {shift.delta}"
+            f"receiver.radius_m: the link's shift parameter delta = {delta}"
             " leaves the closed-form overlap's domain [0, 1)"
         )
-    return (
-        redshift_total(body, emitter, receiver),
-        shift,
-        coordinate_travel_time(body, emitter.radius, receiver.radius),
-        _shift_terms(shift),
-    )
+    travel = coordinate_travel_time(body, emitter.radius, receiver.radius)
+    return ratio, travel, _scale_terms(delta, 1.0 + x)  # k = 1 -+ delta
 
 
 def _link_result(
@@ -438,10 +435,10 @@ def _link_result(
     """A source of this peak and width over a link of known geometry:
     overlap -> protocol.  Every link row, run or sweep point, is built
     here."""
-    ratio, shift, travel, terms = geometry
+    ratio, travel, terms = geometry
     d, q = _overlap_at_ratio(terms, peak / width)
     # every RESULT_FIELDS key, in order, then tags and extras
-    fields = {"chi": 1.0 / ratio, "delta": shift.delta, "Delta": d, "q": q,
+    fields = {"chi": 1.0 / ratio, "delta": terms[0], "Delta": d, "q": q,
               "fidelity": None, "negativity": None, "qber": None,
               "travel_time_s": travel, "redshift_ratio": ratio,
               "tags": _LINK_TAGS[proto.kind].copy(), "extras": {}}
@@ -697,22 +694,23 @@ def render_json(doc, precision: int | None = None) -> str:
 
     number() is the one float rule.  A column of floats is formatted in
     one % call at precisions up to 15, and a column of one repeated
-    value once.  A text of that call goes through number() wherever
-    repr's text could differ: a text without a point, one with a
-    positive exponent, and that of a value below 1e-300 in magnitude.
+    value once.  A text of that call is parsed back, as number() parses
+    format()'s, wherever repr's text could differ: a text without a
+    point, one with a positive exponent, and that of a value below
+    1e-300 in magnitude.
     """
     float_repr = float.__repr__
     string = encode_basestring_ascii
     spec = f".{precision}g"
 
     def number(v) -> str:
-        if not math.isfinite(v):
-            return "NaN" if v != v else "null"
-        if precision is not None:
-            v = float(format(v, spec))
-            if not math.isfinite(v):  # rounded past the largest float
-                return "null"
-        return float_repr(v)
+        return parsed(float_repr(v) if precision is None else format(v, spec))
+
+    def parsed(text: str) -> str:
+        # repr's text of the float that text reads as: null for +-inf, which
+        # a finite value rounded past the largest float reads as too
+        v = float(text)
+        return float_repr(v) if math.isfinite(v) else "NaN" if v != v else "null"
 
     def float_texts(values) -> list[str]:
         if precision is None and math.isfinite(sum(values)):  # no inf or nan
@@ -730,7 +728,7 @@ def render_json(doc, precision: int | None = None) -> str:
         return [
             text
             if ("." in text and "e" not in text) or ("e-" in text and not -1e-300 < v < 1e-300)
-            else number(v)
+            else parsed(text)  # number(v), without formatting v again
             for v, text in zip(values, texts)
         ]
 

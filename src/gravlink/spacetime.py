@@ -128,8 +128,7 @@ class ShiftParameter:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
 
 
-def _check_above_horizon(body: Body, r: float) -> None:
-    rs = body.schwarzschild_radius
+def _check_above_horizon(rs: float, r: float) -> None:
     if not (r > rs):
         raise HorizonError(f"r = {r} m is at or below the horizon r_s = {rs} m")
 
@@ -137,7 +136,7 @@ def _check_above_horizon(body: Body, r: float) -> None:
 def _log_rate_factor(body: Body, obs: Observer) -> float:
     """log of the station's clock-rate factor 1/(u^t)^2: 1 - 2M/r static,
     1 - 3M/r on a circular orbit (Omega^2 = M/r^3)."""
-    _check_above_horizon(body, obs.radius)
+    _check_above_horizon(body.schwarzschild_radius, obs.radius)
     mu = body.geometric_mass
     if obs.motion is Motion.CIRCULAR_ORBIT:
         x = 3.0 * mu / obs.radius
@@ -154,8 +153,16 @@ def _log_rate_ratio(body: Body, emitter: Observer, receiver: Observer) -> float:
     return _log_rate_factor(body, emitter) - _log_rate_factor(body, receiver)
 
 
+def _link_shift(body: Body, emitter: Observer, receiver: Observer) -> tuple[float, float]:
+    """(Omega_B/Omega_A, x) = (exp(L/2), expm1(L/4)) from one log rate ratio L
+    per link: delta = |x|, and the scale factor k = 1 + x is 1 -+ delta."""
+    log_ratio = _log_rate_ratio(body, emitter, receiver)
+    return math.exp(0.5 * log_ratio), math.expm1(0.25 * log_ratio)
+
+
 def redshift_total(body: Body, emitter: Observer, receiver: Observer) -> float:
-    """Frequency ratio Omega_B/Omega_A = sqrt(rate_A/rate_B) = u^t_B/u^t_A.
+    """Frequency ratio Omega_B/Omega_A = sqrt(rate_A/rate_B) = u^t_B/u^t_A
+    (one log rate ratio per link).
 
     A radial photon conserves k_t, so each station's factor is its own
     u^t whichever end emits: rate = 1 - 2M/r for a static station and
@@ -166,26 +173,30 @@ def redshift_total(body: Body, emitter: Observer, receiver: Observer) -> float:
     A low-orbit receiver above a static ground emitter can come out
     *blue* shifted: the orbital 3M term wins below r_B = 1.5 r_A.
     """
-    return math.exp(0.5 * _log_rate_ratio(body, emitter, receiver))
+    return _link_shift(body, emitter, receiver)[0]
 
 
 def shift_parameter(body: Body, emitter: Observer, receiver: Observer) -> ShiftParameter:
     """Fourth-root shift delta = |(rate_A/rate_B)^(1/4) - 1| = |sqrt(Omega_B/Omega_A) - 1|
-    for any pair of stations (rates as in redshift_total).
+    for any pair of stations (rates as in redshift_total), from one log
+    rate ratio per link.
 
     Evaluated as expm1 of a quarter log difference so that delta ~ 1e-10
     keeps full relative precision.  sign is UP exactly when the
     frequency ratio is below one (net redshift); delta = 0 reports UP.
     """
-    x = math.expm1(0.25 * _log_rate_ratio(body, emitter, receiver))
+    x = _link_shift(body, emitter, receiver)[1]
     return ShiftParameter(delta=abs(x), sign=Sign.UP if x <= 0.0 else Sign.DOWN)
 
 
 def tortoise(body: Body, r: float) -> float:
     """Tortoise coordinate r_* = r + r_s ln(r/r_s - 1); radial light moves
     at unit coordinate speed in (t, r_*)."""
-    _check_above_horizon(body, r)
-    rs = body.schwarzschild_radius
+    return _tortoise(body.schwarzschild_radius, r)
+
+
+def _tortoise(rs: float, r: float) -> float:
+    _check_above_horizon(rs, r)
     if rs == 0.0:
         return r
     return r + rs * math.log(r / rs - 1.0)
@@ -195,7 +206,8 @@ def coordinate_travel_time(body: Body, r_from: float, r_to: float) -> float:
     """Schwarzschild coordinate time |r_*(to) - r_*(from)|/c for a radial
     null ray between the two radii; equal radii are co-located stations,
     0 even at r = inf."""
-    gap = tortoise(body, r_to) - tortoise(body, r_from)
+    rs = body.schwarzschild_radius
+    gap = _tortoise(rs, r_to) - _tortoise(rs, r_from)
     return 0.0 if r_from == r_to else abs(gap) / C
 
 
@@ -213,17 +225,17 @@ def radius_after(body: Body, r_0: float, t: float) -> float:
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    _check_above_horizon(body, r_0)
     rs = body.schwarzschild_radius
+    _check_above_horizon(rs, r_0)
     if rs == 0.0 or math.isinf(r_0):
         return r_0 + C * t
-    target = tortoise(body, r_0) + C * t
+    target = _tortoise(rs, r_0) + C * t
     tol = max(1e-9, 8.0 * math.ulp(abs(target)))
     lo = rs * (1.0 + 1e-12)
     hi = r_0 + C * t + 1e3 * rs
     x = min(max(r_0 + C * t, lo), hi)
     for _ in range(100):
-        resid = tortoise(body, x) - target
+        resid = _tortoise(rs, x) - target
         if abs(resid) <= tol:
             return x
         if resid > 0.0:

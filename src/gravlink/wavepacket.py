@@ -436,11 +436,15 @@ _ShiftTerms = tuple[float, float, float, float]
 
 
 def _shift_terms(shift: ShiftParameter) -> _ShiftTerms:
-    """(delta, 1 + k^2, sqrt(1 - delta^2/(1 + k^2)), log1p(-delta^2/(1 + k^2)))."""
     delta = shift.delta
+    return _scale_terms(delta, 1.0 - delta if shift.sign is Sign.UP else 1.0 + delta)
+
+
+def _scale_terms(delta: float, k: float) -> _ShiftTerms:
+    """(delta, 1 + k^2, sqrt(1 - delta^2/(1 + k^2)), log1p(-delta^2/(1 + k^2)))
+    for the received scale factor k = 1 -+ delta."""
     if not (0.0 <= delta < 1.0):
         raise ValueError(f"shift.delta must lie in [0, 1), got {delta}")
-    k = 1.0 - delta if shift.sign is Sign.UP else 1.0 + delta
     kk1 = 1.0 + k * k
     return delta, kk1, math.sqrt(1.0 - delta * delta / kk1), math.log1p(-delta * delta / kk1)
 

@@ -158,6 +158,11 @@ _NAMED_FLOATS = {
     "rounds-to-a-power-of-ten": [9.9999999999995e15, -9.9999999999995e15, 9.99999999999995e14,
                                  999999999999.5, 9.9999999999995e-5, 9.99999999999999e15],
     "negative-zero": [-0.0, 0.0, [-0.0], {"z": -0.0}],
+    # a peak_hz sweep's grid: texts like 2.34567890123e+14 at precision 12
+    "peak-hz-column": [2e14 + 7e14 * i / 63 for i in range(64)],
+    # texts that parse back past the largest float at some precisions
+    "near-max-float": [1.7976931348623157e308, -1.7976931348623157e308, 1.79769313486e308,
+                       math.nextafter(1.7976931348623157e308, 0.0), 1.7976931348623e308, 9.9e307],
     # equal keys with different texts, in one column of dicts
     "equal-keys": [{1: 1.0}, {True: 1.0}, {1.0: 1.0}, {0: -0.0}, {False: 0.0}, {-0.0: 0.0}, {0.0: 0.0}],
 }
@@ -181,6 +186,9 @@ def test_render_json_named_edge_floats(name):
         (-0.0, 12, "-0.0"),
         (5e-324, 2, "5e-324"),  # format: 4.9e-324, which parses back to 5e-324
         (1e-300, 15, "1e-300"),
+        (2.3456789012345e14, 12, "234567890123000.0"),  # format: 2.34567890123e+14
+        ([1.7976931348623157e308, 1.0], 15, '[\n  null,\n  1.0\n]'),  # 1.79769313486232e+308
+        ([1.7976931348623157e308, 1.0], 12, '[\n  1.79769313486e+308,\n  1.0\n]'),
     ],
 )
 def test_render_json_float_texts(value, precision, text):

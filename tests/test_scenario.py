@@ -44,6 +44,9 @@ COMPACT_LINK = {"body": {"mass_kg": 1e30, "radius_m": 1700.0}, "emitter": {"radi
 PHOTON_SPHERE_ERROR = r"receiver\.radius_m: a circular orbit needs r > 1\.5 r_s = 2227\.848\d* m, got 2000\.0$"
 
 
+KINDS = "('single_photon', 'coherent', 'tmss', 'entangle_qkd', 'cv_homodyne')"
+
+
 def base_config() -> dict:
     return {
         "body": "earth",
@@ -146,11 +149,49 @@ class TestParsing:
         with pytest.raises(ConfigError, match=message):
             parse_config(cfg)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("protocol", {"kind": []}, f"protocol.kind: expected one of {KINDS}, got []"),
+            ("protocol", {"kind": {}}, f"protocol.kind: expected one of {KINDS}, got {{}}"),
+            ("protocol", {"kind": None}, f"protocol.kind: expected one of {KINDS}, got None"),
+            ("protocol", {}, f"protocol.kind: expected one of {KINDS}, got None"),
+            ("protocol", [], "protocol: expected an object, got list"),
+            ("receiver", {"radius_m": 7e6, "motion": ["orbit"]},
+             "receiver.motion: expected 'static' or 'orbit', got ['orbit']"),
+            ("receiver", {"radius_m": 7e6, "motion": {}}, "receiver.motion: expected 'static' or 'orbit', got {}"),
+            ("receiver", {"radius_m": 7e6, "motion": 1}, "receiver.motion: expected 'static' or 'orbit', got 1"),
+            ("receiver", {"radius_m": 7e6, "motion": None},
+             "receiver.motion: expected 'static' or 'orbit', got None"),
+            ("receiver", {"radius_m": True}, "receiver.radius_m: expected a number, got True"),
+            ("receiver", {"radius_m": "7e6"}, "receiver.radius_m: expected a number, got '7e6'"),
+            ("receiver", {"radius_m": math.nan}, "receiver.radius_m: expected a number, got nan"),
+            ("receiver", {"radius_m": 10**400}, "receiver.radius_m: integer too large for a float"),
+            ("protocol", {"kind": "coherent", "alpha": False}, "protocol.alpha: expected a number, got False"),
+            ("protocol", {"kind": "coherent", "alpha": -math.nan},
+             "protocol.alpha: expected a number, got nan"),
+            ("body", {"mass_kg": "1", "radius_m": 6.371e6}, "body.mass_kg: expected a number, got '1'"),
+            ("monte_carlo", {"trials": math.nan, "seed": 1}, "monte_carlo.trials: expected a number, got nan"),
+            ("protocol", {"kind": "tmss", "s": 1.0, "z": 1, "b": 2}, "protocol: unknown key(s) b, z"),
+            ("zeta", 1, "config: unknown key(s) zeta"),
+        ],
+    )
+    def test_odd_values_keep_their_messages(self, field, value, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(dict(base_config(), **{field: value}))
+        assert str(exc.value) == message
+
+    def test_numbers_of_a_float_subclass_parse_as_floats(self):
+        class Metres(float):
+            pass
+
+        sc = parse_config(dict(base_config(), receiver={"radius_m": Metres(7e6), "motion": "orbit"}))
+        assert type(sc.receiver.radius) is float and sc.receiver.radius == 7e6
+
     def test_protocol_errors_follow_the_table(self):
-        kinds = "('single_photon', 'coherent', 'tmss', 'entangle_qkd', 'cv_homodyne')"
         with pytest.raises(ConfigError) as exc:
             parse_config(dict(base_config(), protocol={"kind": "bb84"}))
-        assert str(exc.value) == f"protocol.kind: expected one of {kinds}, got 'bb84'"
+        assert str(exc.value) == f"protocol.kind: expected one of {KINDS}, got 'bb84'"
         # parameters are read in sorted order, so alpha is reported first
         with pytest.raises(ConfigError, match=r"^protocol\.alpha: missing$"):
             parse_config(dict(base_config(), protocol={"kind": "cv_homodyne"}))
@@ -245,6 +286,32 @@ class TestParsing:
         assert parse_config(cfg).monte_carlo.trials == trials
 
 
+@st.composite
+def _links(draw):
+    """A config on a preset or a random body, with a preset or a random
+    static or orbiting station at either end."""
+    if draw(st.booleans()):
+        body, surface, presets = "earth", 6_371_000.0, ["ground", "iss", "far_field"]
+    else:
+        surface = draw(st.floats(1e6, 1e7))
+        body, presets = {"mass_kg": draw(st.floats(1e20, 1e27)), "radius_m": surface}, ["far_field"]
+    stations = st.sampled_from(presets) | st.builds(
+        lambda factor, motion: {"radius_m": surface * factor, "motion": motion},
+        st.floats(1.0, 1e4),
+        st.sampled_from(["static", "orbit"]),
+    )
+    source = draw(st.sampled_from(["spdc_blue", "rb_vapor"]))
+    return dict(base_config(), body=body, emitter=draw(stations), receiver=draw(stations), source=source)
+
+
+@given(st.floats(allow_nan=False) | st.floats(-1e-9, 1e-9))
+def test_the_signed_shift_is_the_scale_factor(x):
+    """A link's k = 1 + x, with x = expm1(L/4), is the ShiftParameter
+    rule k = 1 -+ delta (minus for UP, x <= 0) bit for bit."""
+    delta = abs(x)
+    assert 1.0 + x == (1.0 - delta if x <= 0.0 else 1.0 + delta)
+
+
 class TestRunScenario:
     def test_entangle_qkd_ground_to_orbit(self):
         res = run_scenario(parse_config(base_config()))
@@ -269,6 +336,23 @@ class TestRunScenario:
             sc.body, sc.emitter.radius, sc.receiver.radius
         )
         assert res.redshift_ratio == redshift_total(sc.body, sc.emitter, sc.receiver)
+
+    @given(_links())
+    @settings(max_examples=300, deadline=None)
+    def test_link_fields_are_the_public_functions(self, doc):
+        """Uplinks, downlinks and far-field links: each geometric field of a
+        row is, bit for bit, the public function of that quantity."""
+        sc = parse_config(doc)
+        res = run_scenario(sc)
+        link = (sc.body, sc.emitter, sc.receiver)
+        shift = shift_parameter(*link)
+        overlap = overlap_gaussian_closed(sc.source, shift)
+        assert (res.redshift_ratio, res.chi) == (redshift_total(*link), 1.0 / redshift_total(*link))
+        assert res.delta == shift.delta
+        assert (res.Delta, res.q) == (overlap.delta, overlap.q)
+        assert res.travel_time_s == coordinate_travel_time(sc.body, sc.emitter.radius, sc.receiver.radius)
+        # a radius sweep point parses its receiver again, to the same row
+        assert sweep(sc, "receiver_radius_m", [sc.receiver.radius]) == [res]
 
     def test_flat_space_is_exactly_trivial(self):
         cfg = base_config()
@@ -525,13 +609,21 @@ class TestSweep:
             sweep(parse_config(cfg), "receiver_radius_m", [3000.0, 2000.0])
 
     def test_source_sweeps_compute_the_geometry_once(self, monkeypatch):
-        from gravlink import scenario
+        """The work budget, in station rate factors: one per station to
+        parse it, and one per station for each link's geometry."""
+        from gravlink import scenario, spacetime
 
         calls = []
-        real = scenario.shift_parameter
-        monkeypatch.setattr(scenario, "shift_parameter", lambda *a: calls.append(a) or real(*a))
+        real = spacetime._log_rate_factor
+        counted = lambda *a: calls.append(a) or real(*a)  # noqa: E731
+        monkeypatch.setattr(spacetime, "_log_rate_factor", counted)
+        monkeypatch.setattr(scenario, "_log_rate_factor", counted)
         sc = parse_config(base_config())
-        for parameter, grid, expected in [
+        assert len(calls) == 2
+        calls.clear()
+        run_scenario(sc)
+        assert len(calls) == 2
+        for parameter, grid, geometries in [
             ("width_hz", [1e5, 1e6, 1e7], 1),
             ("peak_hz", [5e14, 7e14], 1),
             ("receiver_radius_m", [7e6, 8e6, 9e6], 3),
@@ -539,7 +631,9 @@ class TestSweep:
         ]:
             calls.clear()
             sweep(sc, parameter, grid)
-            assert len(calls) == expected, parameter
+            # a radius point also parses its receiver: three factors
+            per_geometry = 3 if parameter == "receiver_radius_m" else 2
+            assert len(calls) == per_geometry * geometries, parameter
 
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
     def test_q_sweep_matches_run(self, protocol):
