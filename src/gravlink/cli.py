@@ -43,17 +43,9 @@ from .scenario import (
     run_scenario,
     sweep,
 )
-from .spacetime import (
-    Body,
-    ConvergenceError,
-    Observer,
-    ShiftParameter,
-    Sign,
-    coordinate_travel_time,
-    redshift_total,
-    shift_parameter,
-)
-from .wavepacket import GaussianPacket, overlap_gaussian_closed, overlap_quadrature
+from .spacetime import (Body, ConvergenceError, Observer, _link_shift, _sign, _signed_shift,
+                        coordinate_travel_time)
+from .wavepacket import GaussianPacket, _overlap_at_ratio, _scale_terms, overlap_quadrature
 
 _DEVIATION_TAG = "|computed - reference| / |reference|"
 
@@ -140,10 +132,17 @@ def _flag_doc(preset, path: str, **flags):
     return preset if preset is not None else given
 
 
-def _receiver_doc(args):
-    return _flag_doc(
-        args.receiver, "receiver", radius_m=args.receiver_radius_m, motion=args.receiver_motion
-    )
+# the flags that _link and _source read
+_GEOMETRY_FLAGS = ("body", "mass_kg", "body_radius_m", "emitter_radius_m", "receiver",
+                   "receiver_radius_m", "receiver_motion")
+_SOURCE_FLAGS = ("source", "peak_hz", "width_hz")
+
+
+def _reject_unread(args, dests: tuple[str, ...], reason: str) -> None:
+    """Reject the flags among dests that were given: reason leaves them unread."""
+    given = ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise ConfigError(f"{args.command}: {reason}; drop {', '.join(given)}")
 
 
 def _source(args) -> GaussianPacket:
@@ -157,7 +156,9 @@ def _link(args, alternative: str = "") -> tuple[Body, Observer, Observer]:
     through configs)."""
     body_doc = _flag_doc(args.body, "body", mass_kg=args.mass_kg, radius_m=args.body_radius_m)
     body = _parse_body(body_doc or "earth")
-    receiver = _receiver_doc(args)
+    receiver = _flag_doc(
+        args.receiver, "receiver", radius_m=args.receiver_radius_m, motion=args.receiver_motion
+    )
     if not receiver:
         raise ConfigError(f"receiver: give --receiver or --receiver-radius-m{alternative}")
     radius = body.radius if args.emitter_radius_m is None else args.emitter_radius_m
@@ -169,8 +170,19 @@ def _link(args, alternative: str = "") -> tuple[Body, Observer, Observer]:
 # emission
 
 
-def _write(args, text: str, out_override: str | None = None) -> None:
-    path = out_override if out_override is not None else args.out
+def _emit(args, rows: list[dict], columns, tags=None, comments=(), doc=None, output=None) -> None:
+    """Write doc (by default the rows and their tags) as JSON, or the
+    comment lines followed by render_csv(rows, columns, tags) as CSV;
+    result_to_dict rows come without tags, as they carry their own.
+    --format and --out take precedence over a config's output block."""
+    stored = output or OutputSpec()
+    path = args.out if args.out is not None else stored.path
+    if (args.format or stored.format) == "json":
+        text = render_json({"rows": rows, "tags": tags} if doc is None else doc, args.precision)
+    else:
+        if tags is None:
+            tags, comments = _result_notes(rows, comments)
+        text = "".join(line + "\n" for line in comments) + render_csv(rows, columns, tags)
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -178,42 +190,17 @@ def _write(args, text: str, out_override: str | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(args, rows: list[dict], columns: list[str], tags: dict) -> None:
-    fmt = args.format or "json"
-    if fmt == "json":
-        text = render_json({"rows": rows, "tags": tags}, args.precision)
-    else:
-        text = render_csv(rows, columns, tags)
-    _write(args, text)
-
-
-def _emit_results(
-    args,
-    config,
-    rows: list[dict],
-    json_payload: dict | None = None,
-    comments: tuple[str, ...] = (),
-) -> None:
-    """Emission of result_to_dict rows: JSON writes json_payload, or the
-    one row of a run; CSV keeps exactly the nine result columns (tags and
-    per-row extras ride along as # comments).  --format and --out take
-    precedence over the config's output block."""
-    stored = config.output or OutputSpec()
-    out = args.out if args.out is not None else stored.path
-    if (args.format or stored.format) == "json":
-        text = render_json(rows[0] if json_payload is None else json_payload, args.precision)
-    else:
-        tags: dict[str, str] = {}
-        for row in rows:
-            for key, tag in row["tags"].items():
-                tags.setdefault(key, tag)
-        lines = list(comments)
-        for index, row in enumerate(rows):
-            for key, value in row.get("extras", {}).items():
-                lines.append(f"# extra {key}[{index}] = {value!r}")
-        text = "".join(line + "\n" for line in lines)
-        text += render_csv(rows, list(RESULT_FIELDS), tags)
-    _write(args, text, out)
+def _result_notes(rows: list[dict], comments) -> tuple[dict, list[str]]:
+    """The tags of result_to_dict rows, first seen first, and the comment
+    lines followed by one # extra line per value of a row's extras."""
+    tags: dict[str, str] = {}
+    lines = list(comments)
+    for index, row in enumerate(rows):
+        for key, tag in row["tags"].items():
+            tags.setdefault(key, tag)
+        for key, value in row.get("extras", {}).items():
+            lines.append(f"# extra {key}[{index}] = {value!r}")
+    return tags, lines
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +209,14 @@ def _emit_results(
 
 def _cmd_redshift(args) -> int:
     body, emitter, receiver = _link(args)
-    ratio = redshift_total(body, emitter, receiver)
-    shift = shift_parameter(body, emitter, receiver)
-    travel = coordinate_travel_time(body, emitter.radius, receiver.radius)
+    # the shift alone, so that links past the overlap's domain are reported
+    ratio, x = _link_shift(body, emitter, receiver)
     row = {
         "redshift_ratio": ratio,
         "chi": 1.0 / ratio,
-        "delta": shift.delta,
-        "sign": shift.sign.value,
-        "travel_time_s": travel,
+        "delta": abs(x),
+        "sign": _sign(x),
+        "travel_time_s": coordinate_travel_time(body, emitter.radius, receiver.radius),
     }
     tags = {
         "redshift_ratio": "Omega_B/Omega_A = sqrt(rate_A/rate_B), rate = 1 - 2M/r static, 1 - 3M/r orbit",
@@ -239,29 +225,26 @@ def _cmd_redshift(args) -> int:
         "sign": "up: received frequencies lower (redshift); down: higher (blueshift)",
         "travel_time_s": "t = |r_*(B) - r_*(A)|/c",
     }
-    _emit_rows(args, [row], list(row), tags)
+    _emit(args, [row], list(row), tags)
     return 0
 
 
 def _cmd_overlap(args) -> int:
     packet = _source(args)
     if args.delta is not None:
-        if _receiver_doc(args):
-            raise ConfigError("overlap: --delta replaces the geometry; drop the receiver flags")
+        _reject_unread(args, _GEOMETRY_FLAGS, "--delta replaces the geometry")
         if not (0.0 <= args.delta < 1.0):
             raise ConfigError(f"delta: must lie in [0, 1), got {args.delta}")
-        shift = ShiftParameter(delta=args.delta, sign=Sign(args.sign))
+        sign = args.sign or "up"
+        x = _signed_shift(args.delta, sign)
+        terms = _scale_terms(args.delta, 1.0 + x)
     else:
         link = _link(args, " (or --delta)")
-        _link_geometry(*link)  # delta >= 1 is the receiver's error, as in runs
-        shift = shift_parameter(*link)
-    closed = overlap_gaussian_closed(packet, shift)
-    row = {
-        "delta": shift.delta,
-        "sign": shift.sign.value,
-        "Delta": float(closed.delta),
-        "q": closed.q,
-    }
+        _reject_unread(args, ("sign",), "the geometry sets the sign")
+        _, _, terms, x = _link_geometry(*link)
+        sign = _sign(x)
+    d, q = _overlap_at_ratio(terms, packet.peak_hz / packet.width_hz)
+    row = {"delta": terms[0], "sign": sign, "Delta": d, "q": q}
     tags = {
         "delta": "frequency-rate shift parameter",
         "sign": "up: k = 1 - delta; down: k = 1 + delta",
@@ -269,7 +252,7 @@ def _cmd_overlap(args) -> int:
         "q": "q = 1 - Delta^2",
     }
     if args.quadrature:
-        k = 1.0 - shift.delta if shift.sign is Sign.UP else 1.0 + shift.delta
+        k = 1.0 + x
         received = GaussianPacket(peak_hz=k * packet.peak_hz, width_hz=k * packet.width_hz)
         numeric = overlap_quadrature(packet, received)
         row["Delta_quadrature"] = float(abs(numeric.delta))
@@ -283,22 +266,20 @@ def _cmd_overlap(args) -> int:
         )
         tags["q_quadrature"] = "q = 1 - |Delta_quadrature|^2"
         tags["quadrature_abserr"] = "integrator's absolute error estimate"
-    _emit_rows(args, [row], list(row), tags)
+    _emit(args, [row], list(row), tags)
     return 0
-
-
-def _q_from_args(args) -> float:
-    if args.q is not None:
-        return _check_q(args.q)
-    link = _link(args, " (or --q)")
-    _link_geometry(*link)  # delta >= 1 is the receiver's error, as in runs
-    return overlap_gaussian_closed(_source(args), shift_parameter(*link)).q
 
 
 def _cmd_entangle(args) -> int:
     import numpy as np
 
-    q = _q_from_args(args)
+    if args.q is not None:
+        _reject_unread(args, _GEOMETRY_FLAGS + _SOURCE_FLAGS, "--q replaces the geometry and the source")
+        q = _check_q(args.q)
+    else:
+        _, _, terms, _ = _link_geometry(*_link(args, " (or --q)"))
+        packet = _source(args)
+        q = _overlap_at_ratio(terms, packet.peak_hz / packet.width_hz)[1]
     state = entangleswap.build_initial_state(q)
     state = entangleswap.apply_beamsplitter(state, entangleswap.AP, entangleswap.BP)
     state = entangleswap.apply_beamsplitter(state, entangleswap.CP, entangleswap.DP)
@@ -337,7 +318,7 @@ def _cmd_entangle(args) -> int:
         "negativity_d2_sim": "eigenvalue negativity of the simulated D2 memory state",
         "sim_vs_closed_max_abs": "max |rho_sim - rho_closed| over both heralds",
     }
-    _emit_rows(args, [row], list(row), tags)
+    _emit(args, [row], list(row), tags)
     return 0
 
 
@@ -353,7 +334,7 @@ def _cmd_qber(args) -> int:
         tags["qber_mc"] = "empirical fraction of disagreeing sifted bits"
         tags["trials"] = "Monte Carlo sample count"
         tags["seed"] = "generator seed (runs are reproducible)"
-    _emit_rows(args, [row], list(row), tags)
+    _emit(args, [row], list(row), tags)
     return 0
 
 
@@ -381,13 +362,14 @@ def _cmd_cv_homodyne(args) -> int:
         "v": "V = 2 |beta|^2 for |beta| >= 10 |alpha|, else 2 (|beta|^2 + |alpha|^2)",
         "pass": "overlap is 1 to 1e-12 and (X, V) identical to the first matched row",
     }
-    _emit_rows(args, rows, ["scenario", "chi", "overlap", "x", "v", "pass"], tags)
+    _emit(args, rows, ["scenario", "chi", "overlap", "x", "v", "pass"], tags)
     return 0
 
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    _emit_results(args, config, [result_to_dict(run_scenario(config))])
+    row = result_to_dict(run_scenario(config))
+    _emit(args, [row], RESULT_FIELDS, doc=row, output=config.output)
     return 0
 
 
@@ -452,7 +434,7 @@ def _cmd_sweep(args) -> int:
         f"# sweep parameter: {args.parameter}",
         "# grid: " + ",".join(repr(v) for v in grid),
     )
-    _emit_results(args, config, rows, json_payload=payload, comments=comments)
+    _emit(args, rows, RESULT_FIELDS, comments=comments, doc=payload, output=config.output)
     return 0
 
 
@@ -466,10 +448,8 @@ def _cmd_paper_table(args) -> int:
         "tolerance": "maximum acceptable relative deviation",
         "verdict": "ok | fail | paper-inconsistent (the published numbers conflict)",
     }
-    _emit_rows(args, rows, columns, tags)
-    if any(row["verdict"] == "fail" for row in rows):
-        return 3
-    return 0
+    _emit(args, rows, columns, tags)
+    return 3 if any(row["verdict"] == "fail" for row in rows) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="mode overlap Delta and mismatch q for a source over a link",
     )
     p.add_argument("--delta", type=float, default=None, help="shift parameter, replaces geometry")
-    p.add_argument("--sign", choices=("up", "down"), default="up", help="shift direction for --delta")
+    p.add_argument("--sign", choices=("up", "down"), help="shift direction for --delta (default up)")
     p.add_argument(
         "--quadrature",
         action="store_true",
@@ -571,18 +551,12 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return args.handler(args)
-    except ConfigError as exc:
-        print(f"gravlink: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"gravlink: numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
+    except (ConvergenceError, ArithmeticError) as exc:
         print(f"gravlink: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
-        # numpy's LinAlgError is a ValueError, and it can only have been
-        # raised if numpy was imported
+        # a ConfigError is a ValueError; so is numpy's LinAlgError, which can
+        # only have been raised if numpy was imported
         numpy = sys.modules.get("numpy")
         if numpy is not None and isinstance(exc, numpy.linalg.LinAlgError):
             print(f"gravlink: numerical failure: {exc}", file=sys.stderr)

@@ -193,13 +193,20 @@ def _positive(doc: dict, key: str, path: str) -> float:
     return val
 
 
-def _parse_body(doc, path: str = "body") -> Body:
-    if isinstance(doc, str):
-        if doc not in BODY_PRESETS:
-            raise ConfigError(f"{path}: unknown preset {doc!r} (have {sorted(BODY_PRESETS)})")
-        doc = BODY_PRESETS[doc]
+def _mapping(doc, allowed, path: str, presets: dict | None = None) -> dict:
+    """doc as a mapping whose keys are among allowed; where presets are
+    given, a str names one of them."""
+    if presets is not None and isinstance(doc, str):
+        if doc not in presets:
+            raise ConfigError(f"{path}: unknown preset {doc!r} (have {sorted(presets)})")
+        doc = presets[doc]
     doc = _require_mapping(doc, path)
-    _reject_unknown(doc, {"mass_kg", "radius_m"}, path)
+    _reject_unknown(doc, allowed, path)
+    return doc
+
+
+def _parse_body(doc, path: str = "body") -> Body:
+    doc = _mapping(doc, {"mass_kg", "radius_m"}, path, BODY_PRESETS)
     mass = _number(doc, "mass_kg", path)
     if not (0.0 <= mass < math.inf):
         raise ConfigError(f"{path}.mass_kg: must be finite and >= 0, got {mass}")
@@ -209,12 +216,7 @@ def _parse_body(doc, path: str = "body") -> Body:
 def _parse_station(body: Body, doc, path: str) -> Observer:
     """An emitter or receiver over body: on or above its surface, and
     inside the domain of spacetime's rate factor (horizon, photon sphere)."""
-    if isinstance(doc, str):
-        if doc not in STATION_PRESETS:
-            raise ConfigError(f"{path}: unknown preset {doc!r} (have {sorted(STATION_PRESETS)})")
-        doc = STATION_PRESETS[doc]
-    doc = _require_mapping(doc, path)
-    _reject_unknown(doc, {"radius_m", "motion"}, path)
+    doc = _mapping(doc, {"radius_m", "motion"}, path, STATION_PRESETS)
     radius = _number(doc, "radius_m", path)
     motion_raw = doc.get("motion", "static")
     try:
@@ -234,12 +236,7 @@ def _parse_station(body: Body, doc, path: str) -> Observer:
 
 
 def _parse_source(doc, path: str = "source") -> GaussianPacket:
-    if isinstance(doc, str):
-        if doc not in SOURCE_PRESETS:
-            raise ConfigError(f"{path}: unknown preset {doc!r} (have {sorted(SOURCE_PRESETS)})")
-        doc = SOURCE_PRESETS[doc]
-    doc = _require_mapping(doc, path)
-    _reject_unknown(doc, {"peak_hz", "width_hz"}, path)
+    doc = _mapping(doc, {"peak_hz", "width_hz"}, path, SOURCE_PRESETS)
     peak = _positive(doc, "peak_hz", path)
     width = _positive(doc, "width_hz", path)
     try:
@@ -281,8 +278,7 @@ _MAX_TRIALS = 10**8
 
 
 def _parse_monte_carlo(doc, path: str = "monte_carlo") -> MonteCarloSpec:
-    doc = _require_mapping(doc, path)
-    _reject_unknown(doc, {"trials", "seed"}, path)
+    doc = _mapping(doc, {"trials", "seed"}, path)
     trials = _count(doc, "trials", path, minimum=10_000)
     if trials > _MAX_TRIALS:
         raise ConfigError(f"{path}.trials: must be <= {_MAX_TRIALS}, got {doc['trials']!r}")
@@ -290,8 +286,7 @@ def _parse_monte_carlo(doc, path: str = "monte_carlo") -> MonteCarloSpec:
 
 
 def _parse_output(doc, path: str = "output") -> OutputSpec:
-    doc = _require_mapping(doc, path)
-    _reject_unknown(doc, {"format", "path"}, path)
+    doc = _mapping(doc, {"format", "path"}, path)
     fmt = doc.get("format", "json")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"{path}.format: expected 'csv' or 'json', got {fmt!r}")
@@ -303,8 +298,7 @@ def _parse_output(doc, path: str = "output") -> OutputSpec:
 
 def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a configuration document (presets expanded, strict keys)."""
-    doc = _require_mapping(doc, "config")
-    _reject_unknown(doc, _CONFIG_KEYS, "config")
+    doc = _mapping(doc, _CONFIG_KEYS, "config")
     for key in ("body", "emitter", "receiver", "source", "protocol"):
         if key not in doc:
             raise ConfigError(f"config.{key}: missing")
@@ -407,13 +401,14 @@ _LINK_TAGS = {kind: {**_GEOMETRY_TAGS, **tags} for kind, (_, _, tags) in PROTOCO
 _PROTOCOL_KEYS = {kind: frozenset({*params, "kind"}) for kind, (params, _, _) in PROTOCOL_TABLE.items()}
 _CONFIG_KEYS = frozenset({"body", "emitter", "receiver", "source", "protocol", "monte_carlo", "output"})
 
-_Geometry = tuple[float, float, _ShiftTerms]
+_Geometry = tuple[float, float, _ShiftTerms, float]
 
 
 def _link_geometry(body: Body, emitter: Observer, receiver: Observer) -> _Geometry:
     """What a link gives every source sent over it, from one log rate
     ratio per link: (redshift_ratio, travel_time_s, overlap terms, the
-    first of which is delta); delta >= 1 is the receiver's error."""
+    first of which is delta, and the signed shift x, with delta = |x| and
+    k = 1 + x); delta >= 1 is the receiver's error."""
     ratio, x = _link_shift(body, emitter, receiver)
     delta = abs(x)
     if not delta < 1.0:
@@ -422,7 +417,7 @@ def _link_geometry(body: Body, emitter: Observer, receiver: Observer) -> _Geomet
             " leaves the closed-form overlap's domain [0, 1)"
         )
     travel = coordinate_travel_time(body, emitter.radius, receiver.radius)
-    return ratio, travel, _scale_terms(delta, 1.0 + x)  # k = 1 -+ delta
+    return ratio, travel, _scale_terms(delta, 1.0 + x), x
 
 
 def _link_result(
@@ -435,7 +430,7 @@ def _link_result(
     """A source of this peak and width over a link of known geometry:
     overlap -> protocol.  Every link row, run or sweep point, is built
     here."""
-    ratio, travel, terms = geometry
+    ratio, travel, terms, _ = geometry
     d, q = _overlap_at_ratio(terms, peak / width)
     # every RESULT_FIELDS key, in order, then tags and extras
     fields = {"chi": 1.0 / ratio, "delta": terms[0], "Delta": d, "q": q,

@@ -160,6 +160,16 @@ def _link_shift(body: Body, emitter: Observer, receiver: Observer) -> tuple[floa
     return math.exp(0.5 * log_ratio), math.expm1(0.25 * log_ratio)
 
 
+def _sign(x: float) -> str:
+    """The Sign value of a signed shift x: "up" exactly when x <= 0."""
+    return "up" if x <= 0.0 else "down"
+
+
+def _signed_shift(delta: float, sign: str) -> float:
+    """x = -+delta for the Sign value "up" or "down": k = 1 + x is 1 -+ delta."""
+    return -delta if sign == "up" else delta
+
+
 def redshift_total(body: Body, emitter: Observer, receiver: Observer) -> float:
     """Frequency ratio Omega_B/Omega_A = sqrt(rate_A/rate_B) = u^t_B/u^t_A
     (one log rate ratio per link).
@@ -186,7 +196,7 @@ def shift_parameter(body: Body, emitter: Observer, receiver: Observer) -> ShiftP
     frequency ratio is below one (net redshift); delta = 0 reports UP.
     """
     x = _link_shift(body, emitter, receiver)[1]
-    return ShiftParameter(delta=abs(x), sign=Sign.UP if x <= 0.0 else Sign.DOWN)
+    return ShiftParameter(delta=abs(x), sign=Sign(_sign(x)))
 
 
 def tortoise(body: Body, r: float) -> float:

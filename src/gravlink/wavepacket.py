@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .fidelity import _square
-from .spacetime import ShiftParameter, Sign
+from .spacetime import ShiftParameter, _signed_shift
 
 if TYPE_CHECKING:
     import numpy as np
@@ -437,7 +437,7 @@ _ShiftTerms = tuple[float, float, float, float]
 
 def _shift_terms(shift: ShiftParameter) -> _ShiftTerms:
     delta = shift.delta
-    return _scale_terms(delta, 1.0 - delta if shift.sign is Sign.UP else 1.0 + delta)
+    return _scale_terms(delta, 1.0 + _signed_shift(delta, shift.sign.value))
 
 
 def _scale_terms(delta: float, k: float) -> _ShiftTerms:

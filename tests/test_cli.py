@@ -14,8 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gravlink.cli as cli
-from gravlink import ConvergenceError
-from gravlink.scenario import RESULT_FIELDS, parse_config, sweep
+from gravlink import (
+    ConvergenceError,
+    coordinate_travel_time,
+    overlap_gaussian_closed,
+    redshift_total,
+    shift_parameter,
+)
+from gravlink.scenario import RESULT_FIELDS, SOURCE_PRESETS, STATION_PRESETS, parse_config, sweep
 
 LEO_CONFIG = {
     "body": "earth",
@@ -582,6 +588,128 @@ class TestOverlap:
     def test_geometry_and_delta_conflict(self, gravlink):
         proc = gravlink("overlap", "--receiver", "iss", "--delta", "1e-10")
         assert proc.returncode == 1
+
+    def test_delta_alone_is_up(self, gravlink):
+        assert _rows(gravlink("overlap", "--delta", "1e-10"))[0]["sign"] == "up"
+
+
+class TestUnreadFlags:
+    """A flag that the chosen route would leave unread is rejected by name."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["entangle", "--q", "0.1", "--receiver", "iss"],
+             "entangle: --q replaces the geometry and the source; drop --receiver"),
+            (["entangle", "--q", "0.1", "--source", "rb_vapor"],
+             "entangle: --q replaces the geometry and the source; drop --source"),
+            (["entangle", "--q", "0.1", "--peak-hz", "5e14", "--mass-kg", "1"],
+             "entangle: --q replaces the geometry and the source; drop --mass-kg, --peak-hz"),
+            (["overlap", "--delta", "1e-10", "--body", "earth"],
+             "overlap: --delta replaces the geometry; drop --body"),
+            (["overlap", "--delta", "1e-10", "--mass-kg", "1", "--emitter-radius-m", "7e6"],
+             "overlap: --delta replaces the geometry; drop --mass-kg, --emitter-radius-m"),
+            (["overlap", "--delta", "1e-10", "--receiver", "iss", "--receiver-motion", "orbit"],
+             "overlap: --delta replaces the geometry; drop --receiver, --receiver-motion"),
+            (["overlap", "--receiver", "far_field", "--sign", "down"],
+             "overlap: the geometry sets the sign; drop --sign"),
+        ],
+        ids=["entangle-receiver", "entangle-source", "entangle-peak-and-mass", "overlap-body",
+             "overlap-mass-and-emitter", "overlap-receiver", "overlap-sign"],
+    )
+    def test_rejected_with_their_names(self, gravlink, argv, message):
+        proc = gravlink(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"gravlink: {message}\n")
+
+    def test_the_lists_are_the_flag_groups(self):
+        for flags, group in [(cli._GEOMETRY_FLAGS, cli._geometry_parent()),
+                             (cli._SOURCE_FLAGS, cli._source_parent())]:
+            assert set(flags) == {action.dest for action in group._actions}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "{config}"],
+        ["redshift", "--receiver", "iss"],
+        ["overlap", "--receiver", "iss"],
+        ["overlap", "--receiver", "iss", "--quadrature"],
+        ["entangle", "--receiver", "iss"],
+    ],
+    ids=["run", "redshift", "overlap", "overlap-quadrature", "entangle"],
+)
+def test_link_commands_rate_each_station_as_run_does(monkeypatch, tmp_path, argv):
+    """The work budget, in station rate factors: one per station to parse
+    it, and one per station for the link's shift."""
+    from gravlink import scenario, spacetime
+
+    config = tmp_path / "leo.json"
+    config.write_text(json.dumps({k: v for k, v in LEO_CONFIG.items() if k != "monte_carlo"}))
+    calls = []
+    real = spacetime._log_rate_factor
+    counted = lambda *a: calls.append(a) or real(*a)  # noqa: E731
+    monkeypatch.setattr(spacetime, "_log_rate_factor", counted)
+    monkeypatch.setattr(scenario, "_log_rate_factor", counted)
+    code, _, err = _main_in_process([arg.format(config=config) for arg in argv])
+    assert code == 0, err
+    assert len(calls) == 4
+
+
+_EARTH_RADII = st.floats(6_371_000.0, 5e7)
+
+
+@st.composite
+def _earth_links(draw):
+    """A config of an Earth link with a static emitter, and the CLI flags
+    that spell its geometry and its source."""
+    emitter = draw(_EARTH_RADII)
+    geometry = ["--emitter-radius-m", repr(emitter)]
+    if draw(st.booleans()):
+        receiver = draw(st.sampled_from(sorted(STATION_PRESETS)))
+        geometry += ["--receiver", receiver]
+    else:
+        motion = draw(st.sampled_from(["static", "orbit"]))
+        receiver = {"radius_m": draw(_EARTH_RADII), "motion": motion}
+        geometry += ["--receiver-radius-m", repr(receiver["radius_m"]),
+                     "--receiver-motion", receiver["motion"]]
+    if draw(st.booleans()):
+        source = draw(st.sampled_from(sorted(SOURCE_PRESETS)))
+        source_flags = ["--source", source]
+    else:
+        width = draw(st.floats(1e3, 1e12))
+        source = {"peak_hz": width * draw(st.floats(101.0, 1e11)), "width_hz": width}
+        source_flags = ["--peak-hz", repr(source["peak_hz"]), "--width-hz", repr(width)]
+    doc = {"body": "earth", "emitter": {"radius_m": emitter}, "receiver": receiver,
+           "source": source, "protocol": "single_photon"}
+    return doc, geometry, source_flags
+
+
+@given(_earth_links())
+@settings(max_examples=100, deadline=None)
+def test_link_rows_are_the_public_functions(link):
+    """At 17 digits, every number of a redshift or overlap row is, with ==,
+    the public function of that quantity."""
+    doc, geometry, source_flags = link
+    sc = parse_config(doc)
+    stations = (sc.body, sc.emitter, sc.receiver)
+    ratio, shift = redshift_total(*stations), shift_parameter(*stations)
+    travel = coordinate_travel_time(sc.body, sc.emitter.radius, sc.receiver.radius)
+    closed = overlap_gaussian_closed(sc.source, shift)
+    rows = {}
+    for command, flags in (("redshift", geometry), ("overlap", geometry + source_flags)):
+        code, out, err = _main_in_process([command, *flags, "--precision", "17"])
+        assert code == 0, err
+        (rows[command],) = json.loads(out)["rows"]
+    assert rows["redshift"] == {
+        "redshift_ratio": ratio,
+        "chi": 1.0 / ratio,
+        "delta": shift.delta,
+        "sign": shift.sign.value,
+        "travel_time_s": travel if math.isfinite(travel) else None,
+    }
+    assert rows["overlap"] == {
+        "delta": shift.delta, "sign": shift.sign.value, "Delta": closed.delta, "q": closed.q,
+    }
 
 
 class TestEntangle:

@@ -88,10 +88,24 @@ def _cli_cases() -> dict[str, list[str]]:
     cases["overlap-quadrature-rb_vapor"] = [
         "overlap", "--receiver", "far_field", "--source", "rb_vapor", "--quadrature",
     ]
+    cases["overlap-delta-down-quadrature"] = [
+        "overlap", "--delta", "1e-10", "--sign", "down", "--quadrature",
+    ]
+    # no shift keeps the sign it was given
+    cases["overlap-delta-zero-down"] = ["overlap", "--delta", "0", "--sign", "down"]
+    cases["overlap-far_field-p17"] = ["overlap", "--receiver", "far_field", "--precision", "17"]
     cases["entangle"] = ["entangle", "--receiver", "far_field"]
     cases["entangle-csv"] = ["entangle", "--q", "0.25", "--format", "csv"]
+    cases["entangle-iss-csv"] = ["entangle", "--receiver", "iss", "--format", "csv"]
     cases["redshift-far_field"] = ["redshift", "--receiver", "far_field"]
     cases["redshift-far_field-csv"] = ["redshift", "--receiver", "far_field", "--format", "csv"]
+    # an orbit just outside a compact body's photon sphere: delta = 2.38,
+    # past the overlap's domain, which redshift still reports
+    cases["redshift-compact-p17"] = [
+        "redshift", "--mass-kg", "1e30", "--body-radius-m", "1700", "--receiver-radius-m", "2230",
+        "--receiver-motion", "orbit", "--precision", "17",
+    ]
+    cases["qber-monte_carlo"] = ["qber", "--q", "0.2", "--trials", "20000", "--seed", "3"]
     cases["cv-homodyne"] = ["cv-homodyne", "--alpha", "0.5", "--beta", "30"]
     cases["cv-homodyne-mismatched"] = [
         "cv-homodyne", "--alpha", "0.5", "--beta", "30", "--lo-peak-hz", "7.00000001e14",
