@@ -17,6 +17,7 @@ import warnings
 
 from . import entangleswap
 from .cvhomodyne import HomodynePrep, curvature_invariance_report
+from .fidelity import _check_q
 from .scenario import (
     BODY_PRESETS,
     PROTOCOL_TABLE,
@@ -25,10 +26,8 @@ from .scenario import (
     STATION_PRESETS,
     SWEEP_PARAMETERS,
     ConfigError,
-    OutputSpec,
     Protocol,
     _MAX_GRID_POINTS,
-    _check_q,
     _link_geometry,
     _parse_body,
     _parse_monte_carlo,
@@ -78,7 +77,7 @@ def _output_parent() -> argparse.ArgumentParser:
     group.add_argument(
         "--format",
         choices=("csv", "json"),
-        default=None,
+        default="json",
         help="output format (default json; CSV floats are exact round-trip)",
     )
     group.add_argument("--out", metavar="PATH", default=None, help="write to a file instead of stdout")
@@ -170,21 +169,19 @@ def _link(args, alternative: str = "") -> tuple[Body, Observer, Observer]:
 # emission
 
 
-def _emit(args, rows: list[dict], columns, tags=None, comments=(), doc=None, output=None) -> None:
+def _emit(args, rows: list[dict], columns, tags=None, comments=(), doc=None) -> None:
     """Write doc (by default the rows and their tags) as JSON, or the
-    comment lines followed by render_csv(rows, columns, tags) as CSV;
-    result_to_dict rows come without tags, as they carry their own.
-    --format and --out take precedence over a config's output block."""
-    stored = output or OutputSpec()
-    path = args.out if args.out is not None else stored.path
-    if (args.format or stored.format) == "json":
+    comment lines followed by render_csv(rows, columns, tags) as CSV, to
+    --out or stdout; result_to_dict rows come without tags, as they carry
+    their own."""
+    if args.format == "json":
         text = render_json({"rows": rows, "tags": tags} if doc is None else doc, args.precision)
     else:
         if tags is None:
             tags, comments = _result_notes(rows, comments)
         text = "".join(line + "\n" for line in comments) + render_csv(rows, columns, tags)
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -192,12 +189,17 @@ def _emit(args, rows: list[dict], columns, tags=None, comments=(), doc=None, out
 
 def _result_notes(rows: list[dict], comments) -> tuple[dict, list[str]]:
     """The tags of result_to_dict rows, first seen first, and the comment
-    lines followed by one # extra line per value of a row's extras."""
+    lines followed by one # extra line per value of a row's extras.  The
+    rows of a sweep carry equal tags, so a row whose tags equal the
+    previous row's adds none."""
     tags: dict[str, str] = {}
     lines = list(comments)
+    previous = None
     for index, row in enumerate(rows):
-        for key, tag in row["tags"].items():
-            tags.setdefault(key, tag)
+        if row["tags"] != previous:
+            previous = row["tags"]
+            for key, tag in previous.items():
+                tags.setdefault(key, tag)
         for key, value in row.get("extras", {}).items():
             lines.append(f"# extra {key}[{index}] = {value!r}")
     return tags, lines
@@ -233,8 +235,6 @@ def _cmd_overlap(args) -> int:
     packet = _source(args)
     if args.delta is not None:
         _reject_unread(args, _GEOMETRY_FLAGS, "--delta replaces the geometry")
-        if not (0.0 <= args.delta < 1.0):
-            raise ConfigError(f"delta: must lie in [0, 1), got {args.delta}")
         sign = args.sign or "up"
         x = _signed_shift(args.delta, sign)
         terms = _scale_terms(args.delta, 1.0 + x)
@@ -326,8 +326,11 @@ def _cmd_qber(args) -> int:
     q = _check_q(args.q)
     row = {"q": q, "qber": entangleswap.qber_closed(q)}
     tags = {"q": "mode mismatch weight", "qber": "QBER = q/2"}
-    if args.trials is not None:
-        spec = _parse_monte_carlo({"trials": args.trials, "seed": args.seed})
+    if args.trials is None:
+        _reject_unread(args, ("seed",), "--seed needs --trials")
+    else:
+        seed = 12345 if args.seed is None else args.seed
+        spec = _parse_monte_carlo({"trials": args.trials, "seed": seed})
         row["qber_mc"] = entangleswap.qber_monte_carlo(q, spec.trials, spec.seed)
         row["trials"] = spec.trials
         row["seed"] = spec.seed
@@ -369,7 +372,7 @@ def _cmd_cv_homodyne(args) -> int:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     row = result_to_dict(run_scenario(config))
-    _emit(args, [row], RESULT_FIELDS, doc=row, output=config.output)
+    _emit(args, [row], RESULT_FIELDS, doc=row)
     return 0
 
 
@@ -417,8 +420,6 @@ def _parse_grid(text: str) -> list[float]:
 
         return [float(v) for v in np.geomspace(start, stop, count)]
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not tokens:
-        raise ConfigError("sweep.grid: empty grid")
     try:
         return [float(tok) for tok in tokens]
     except ValueError:
@@ -434,7 +435,7 @@ def _cmd_sweep(args) -> int:
         f"# sweep parameter: {args.parameter}",
         "# grid: " + ",".join(repr(v) for v in grid),
     )
-    _emit(args, rows, RESULT_FIELDS, comments=comments, doc=payload, output=config.output)
+    _emit(args, rows, RESULT_FIELDS, comments=comments, doc=payload)
     return 0
 
 
@@ -500,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qber", parents=[outp], help="key error rate at a given mismatch weight")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--trials", type=int, default=None, help="add a Monte Carlo estimate")
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=int, default=None, help="generator seed for --trials (default 12345)")
     p.set_defaults(handler=_cmd_qber)
 
     p = sub.add_parser(

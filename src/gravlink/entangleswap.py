@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .fidelity import _check_q
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -125,9 +127,7 @@ def build_initial_state(q: float) -> FockVector:
         (|1>_a |0>_a' + |0>_a |1>_a') / sqrt(2)
           (x) (|1>_b |0> + |0>_b (sqrt(1-q) b'+ + sqrt(q) c'+) |0>) / sqrt(2)
     """
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    sq = math.sqrt(q)
+    sq = math.sqrt(_check_q(q))
     sp = math.sqrt(1.0 - q)
     half = 0.5
     return FockVector(
@@ -236,8 +236,7 @@ def memory_state_closed(q: float, which: str) -> np.ndarray:
     for D1.  At q = 0 the click projects onto a pure Bell state; at
     q = 1 it leaves the fully dephased Bell mixture.
     """
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+    _check_q(q)
     _click_mask(which)  # validates the detector label
     r = math.sqrt(1.0 - q)
     p_plus, p_minus = _bell_states()[2:]
@@ -267,9 +266,7 @@ def negativity(rho: np.ndarray) -> float:
 
 def negativity_closed(q: float) -> float:
     """N = sqrt(1-q)/2 for the heralded memory state at mismatch q."""
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    return 0.5 * math.sqrt(1.0 - q)
+    return 0.5 * math.sqrt(1.0 - _check_q(q))
 
 
 def bit_probabilities(q: float) -> tuple[float, float]:
@@ -279,8 +276,7 @@ def bit_probabilities(q: float) -> tuple[float, float]:
     p_share = ((1 + sqrt(1-q))^2 + (1 - sqrt(1-q))^2)/4 = (2 - q)/2 and
     p_diff = q/2; they always sum to one.
     """
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+    _check_q(q)
     return (2.0 - q) / 2.0, q / 2.0
 
 
@@ -297,8 +293,7 @@ def qber_monte_carlo(q: float, trials: int, seed: int) -> float:
     exactly when the two pairs collapse to opposite types.  Fixed seed,
     fixed answer.
     """
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+    _check_q(q)
     if trials < 10_000:
         raise ValueError(f"need at least 1e4 trials for a meaningful rate, got {trials}")
     import numpy as np

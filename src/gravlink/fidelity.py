@@ -30,6 +30,13 @@ def _check_delta(delta: complex | float) -> complex:
     return d
 
 
+def _check_q(q: float) -> float:
+    """q, the mode mismatch weight, checked against its domain [0, 1]."""
+    if not (0.0 <= q <= 1.0):
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    return q
+
+
 def single_photon_fidelity(delta: complex | float) -> float:
     """F = |Delta|^2 for a single photon sent into the expected mode."""
     d = _check_delta(delta)

@@ -41,7 +41,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
     "MonteCarloSpec",
-    "OutputSpec",
     "Protocol",
     "BODY_PRESETS",
     "STATION_PRESETS",
@@ -89,12 +88,6 @@ class MonteCarloSpec:
 
 
 @dataclass(frozen=True)
-class OutputSpec:
-    format: str = "json"
-    path: str | None = None
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     body: Body
     emitter: Observer
@@ -102,7 +95,6 @@ class ScenarioConfig:
     source: GaussianPacket
     protocol: Protocol
     monte_carlo: MonteCarloSpec | None = None
-    output: OutputSpec | None = None
 
 
 # the nine reported quantities, in output column order
@@ -285,17 +277,6 @@ def _parse_monte_carlo(doc, path: str = "monte_carlo") -> MonteCarloSpec:
     return MonteCarloSpec(trials=trials, seed=_count(doc, "seed", path, minimum=0))
 
 
-def _parse_output(doc, path: str = "output") -> OutputSpec:
-    doc = _mapping(doc, {"format", "path"}, path)
-    fmt = doc.get("format", "json")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"{path}.format: expected 'csv' or 'json', got {fmt!r}")
-    out_path = doc.get("path")
-    if out_path is not None and not isinstance(out_path, str):
-        raise ConfigError(f"{path}.path: expected a string, got {out_path!r}")
-    return OutputSpec(format=fmt, path=out_path)
-
-
 def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a configuration document (presets expanded, strict keys)."""
     doc = _mapping(doc, _CONFIG_KEYS, "config")
@@ -303,16 +284,14 @@ def parse_config(doc: dict) -> ScenarioConfig:
         if key not in doc:
             raise ConfigError(f"config.{key}: missing")
     body = _parse_body(doc["body"])
-    config = ScenarioConfig(
+    return ScenarioConfig(
         body=body,
         emitter=_parse_station(body, doc["emitter"], "emitter"),
         receiver=_parse_station(body, doc["receiver"], "receiver"),
         source=_parse_source(doc["source"]),
         protocol=_parse_protocol(doc["protocol"]),
         monte_carlo=_parse_monte_carlo(doc["monte_carlo"]) if "monte_carlo" in doc else None,
-        output=_parse_output(doc["output"]) if "output" in doc else None,
     )
-    return config
 
 
 def load_config(path) -> ScenarioConfig:
@@ -399,7 +378,7 @@ PROTOCOL_TABLE = {
 # document, per protocol kind; and every key of a config document.
 _LINK_TAGS = {kind: {**_GEOMETRY_TAGS, **tags} for kind, (_, _, tags) in PROTOCOL_TABLE.items()}
 _PROTOCOL_KEYS = {kind: frozenset({*params, "kind"}) for kind, (params, _, _) in PROTOCOL_TABLE.items()}
-_CONFIG_KEYS = frozenset({"body", "emitter", "receiver", "source", "protocol", "monte_carlo", "output"})
+_CONFIG_KEYS = frozenset({"body", "emitter", "receiver", "source", "protocol", "monte_carlo"})
 
 _Geometry = tuple[float, float, _ShiftTerms, float]
 
@@ -570,13 +549,6 @@ _MAX_GRID_POINTS = 100_000
 _Q_TAGS = {"Delta": "Delta = sqrt(1-q) (swept q, geometry bypassed)", "q": "swept input"}
 
 
-def _check_q(q: float) -> float:
-    """q, the mode mismatch weight, checked against its domain [0, 1]."""
-    if not (0.0 <= q <= 1.0):
-        raise ConfigError(f"q must lie in [0, 1], got {q}")
-    return q
-
-
 def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[ScenarioResult]:
     """One ScenarioResult per grid value, in grid order.
 
@@ -607,7 +579,7 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
         empty = dict.fromkeys(RESULT_FIELDS)
 
         def point(value):
-            d = math.sqrt(1.0 - _check_q(value))
+            d = math.sqrt(1.0 - fidelity._check_q(value))
             return _result({**empty, "Delta": d, "q": value, "tags": tags.copy(), "extras": {},
                             **figures(d, value, proto)})
     elif parameter == "receiver_radius_m":
@@ -629,7 +601,7 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
     for index, value in enumerate(grid):
         try:
             results.append(point(float(value)))
-        except ConfigError as exc:
+        except ValueError as exc:  # a ConfigError, or a library rule such as q's
             raise ConfigError(f"sweep.grid[{index}]: {exc}") from None
     return results
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .fidelity import _square
+from .fidelity import _check_delta, _check_q, _square
 from .spacetime import ShiftParameter, _signed_shift
 
 if TYPE_CHECKING:
@@ -191,8 +191,7 @@ class OverlapResult:
     def __post_init__(self) -> None:
         if abs(self.delta) > 1.0 + 1e-12:
             raise ValueError(f"|delta| must be <= 1 + 1e-12, got {abs(self.delta)!r}")
-        if not (0.0 <= self.q <= 1.0):
-            raise ValueError(f"q must lie in [0, 1], got {self.q!r}")
+        _check_q(self.q)
 
 
 def total_probability(packet: WavePacket) -> float:
@@ -404,9 +403,7 @@ def _overlap_tabulated(p1: WavePacket, p2: WavePacket) -> OverlapResult:
 
 def mismatch_q(delta: complex | float) -> float:
     """q = 1 - |Delta|^2, the weight leaked into the orthogonal mode."""
-    mag = abs(delta)
-    if mag > 1.0 + 1e-9:
-        raise ValueError(f"|delta| must be <= 1, got {mag!r}")
+    mag = abs(_check_delta(delta))
     return max(0.0, (1.0 - mag) * (1.0 + mag))
 
 
@@ -444,7 +441,7 @@ def _scale_terms(delta: float, k: float) -> _ShiftTerms:
     """(delta, 1 + k^2, sqrt(1 - delta^2/(1 + k^2)), log1p(-delta^2/(1 + k^2)))
     for the received scale factor k = 1 -+ delta."""
     if not (0.0 <= delta < 1.0):
-        raise ValueError(f"shift.delta must lie in [0, 1), got {delta}")
+        raise ValueError(f"delta: must lie in [0, 1), got {delta}")
     kk1 = 1.0 + k * k
     return delta, kk1, math.sqrt(1.0 - delta * delta / kk1), math.log1p(-delta * delta / kk1)
 

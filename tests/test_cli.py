@@ -21,7 +21,8 @@ from gravlink import (
     redshift_total,
     shift_parameter,
 )
-from gravlink.scenario import RESULT_FIELDS, SOURCE_PRESETS, STATION_PRESETS, parse_config, sweep
+from gravlink.scenario import (_ROW_BLOCK, RESULT_FIELDS, SOURCE_PRESETS, STATION_PRESETS,
+                               parse_config, sweep)
 
 LEO_CONFIG = {
     "body": "earth",
@@ -613,9 +614,10 @@ class TestUnreadFlags:
              "overlap: --delta replaces the geometry; drop --receiver, --receiver-motion"),
             (["overlap", "--receiver", "far_field", "--sign", "down"],
              "overlap: the geometry sets the sign; drop --sign"),
+            (["qber", "--q", "0.1", "--seed", "5"], "qber: --seed needs --trials; drop --seed"),
         ],
         ids=["entangle-receiver", "entangle-source", "entangle-peak-and-mass", "overlap-body",
-             "overlap-mass-and-emitter", "overlap-receiver", "overlap-sign"],
+             "overlap-mass-and-emitter", "overlap-receiver", "overlap-sign", "qber-seed"],
     )
     def test_rejected_with_their_names(self, gravlink, argv, message):
         proc = gravlink(*argv)
@@ -625,6 +627,34 @@ class TestUnreadFlags:
         for flags, group in [(cli._GEOMETRY_FLAGS, cli._geometry_parent()),
                              (cli._SOURCE_FLAGS, cli._source_parent())]:
             assert set(flags) == {action.dest for action in group._actions}
+
+
+class TestOneRulePerInput:
+    """Each input rule is defined once; every route to it prints the same
+    line and exits 1."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["entangle", "--q", "2"], "q must lie in [0, 1], got 2.0"),
+            (["entangle", "--q", "nan"], "q must lie in [0, 1], got nan"),
+            (["qber", "--q", "-1"], "q must lie in [0, 1], got -1.0"),
+            (["qber", "--q", "1.5", "--trials", "20000"], "q must lie in [0, 1], got 1.5"),
+            (["overlap", "--delta", "1"], "delta: must lie in [0, 1), got 1.0"),
+            (["overlap", "--delta", "nan"], "delta: must lie in [0, 1), got nan"),
+            (["overlap", "--delta", "-0.5"], "delta: must lie in [0, 1), got -0.5"),
+            (["sweep", "{config}", "--parameter", "q", "--grid", "0.5,2"],
+             "sweep.grid[1]: q must lie in [0, 1], got 2.0"),
+            (["sweep", "{config}", "--parameter", "q", "--grid", ","], "sweep.grid: empty grid"),
+            (["sweep", "{config}", "--parameter", "q", "--grid", "lin:0:2:3"],
+             "sweep.grid[2]: q must lie in [0, 1], got 2.0"),
+        ],
+        ids=["entangle-q", "entangle-q-nan", "qber-q", "qber-q-trials", "overlap-delta-one",
+             "overlap-delta-nan", "overlap-delta-negative", "sweep-q", "sweep-empty", "sweep-q-lin"],
+    )
+    def test_exact_line_and_exit_code(self, gravlink, leo_config, argv, message):
+        proc = gravlink(*[arg.format(config=leo_config) for arg in argv])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"gravlink: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -750,6 +780,10 @@ class TestQber:
         again = _rows(gravlink("qber", "--q", "0.1", "--trials", "50000", "--seed", "7"))
         assert again[0]["qber_mc"] == row["qber_mc"]
 
+    def test_trials_without_seed_use_the_default_seed(self, gravlink):
+        (row,) = _rows(gravlink("qber", "--q", "0.1", "--trials", "20000"))
+        assert row["seed"] == 12345
+
 
 class TestCvHomodyne:
     def test_three_scenarios_agree(self, gravlink):
@@ -805,26 +839,30 @@ class TestRunAndSweep:
         assert doc["q"] == pytest.approx(0.0025083294283674017, rel=1e-6)
         assert "qber_mc" in doc["extras"]
 
-    def test_output_path_from_config(self, gravlink, tmp_path):
-        target = tmp_path / "from_config.json"
-        cfg = dict(LEO_CONFIG, output={"format": "json", "path": str(target)})
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        assert gravlink("run", str(path)).returncode == 0
-        assert target.exists()
-
-    def test_sweep_output_block_from_config(self, gravlink, tmp_path):
-        target = tmp_path / "sweep.csv"
+    def test_config_output_block_is_an_unknown_key(self, gravlink, tmp_path):
+        # a config holds the physics; --format and --out choose the output
+        target = tmp_path / "from_config.csv"
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(LEO_CONFIG, output={"format": "csv", "path": str(target)})))
-        argv = ["sweep", str(path), "--parameter", "q", "--grid", "0,0.5"]
-        proc = gravlink(*argv)
-        assert proc.returncode == 0 and proc.stdout == ""
-        data = [ln for ln in target.read_text().splitlines() if not ln.startswith("#")]
-        assert data[0] == ",".join(RESULT_FIELDS) and len(data) == 3
-        # a flag overrides the block: --format json still writes to its path
-        assert gravlink(*argv, "--format", "json").returncode == 0
-        assert [r["q"] for r in json.loads(target.read_text())["rows"]] == [0.0, 0.5]
+        for argv in (["run", str(path)], ["sweep", str(path), "--parameter", "q", "--grid", "0,0.5"]):
+            proc = gravlink(*argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                1, "", "gravlink: config: unknown key(s) output\n")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sweep_failing_last_point_writes_nothing(self, gravlink, leo_config, tmp_path, fmt):
+        # every point is computed and checked before the first block of rows
+        # is rendered, so a failure past that block leaves no partial output
+        count = _ROW_BLOCK + 100
+        grid = ",".join(["0.5"] * (count - 1) + ["2"])
+        message = f"gravlink: sweep.grid[{count - 1}]: q must lie in [0, 1], got 2.0\n"
+        target = tmp_path / f"sweep.{fmt}"
+        argv = ["sweep", str(leo_config), "--parameter", "q", "--grid", grid, "--format", fmt]
+        for extra in ([], ["--out", str(target)]):
+            proc = gravlink(*argv, *extra)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+        assert not target.exists()
 
     def test_downlink_runs_end_to_end(self, gravlink, tmp_path):
         docs = {"up": dict(LEO_CONFIG), "down": dict(LEO_CONFIG, emitter="iss", receiver="ground")}

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from gravlink import coherent_fidelity, single_photon_fidelity, tmss_fidelity
+from gravlink import OverlapResult, coherent_fidelity, entangleswap, single_photon_fidelity, tmss_fidelity
 
 D_LEO = 0.998745047833346
 D_FAR = 0.9926075412928603
@@ -112,3 +112,23 @@ def test_validation():
                lambda d: tmss_fidelity(d, 1.0)):
         with pytest.raises(ValueError):
             fn(1.0 + 1e-6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        entangleswap.build_initial_state,
+        lambda q: entangleswap.memory_state_closed(q, "D1"),
+        entangleswap.negativity_closed,
+        entangleswap.bit_probabilities,
+        entangleswap.qber_closed,
+        lambda q: entangleswap.qber_monte_carlo(q, 20_000, 1),
+        lambda q: OverlapResult(delta=0.5, q=q),
+    ],
+    ids=["build_initial_state", "memory_state_closed", "negativity_closed", "bit_probabilities",
+         "qber_closed", "qber_monte_carlo", "OverlapResult"],
+)
+@pytest.mark.parametrize("q", [-0.1, 1.5, math.nan])
+def test_every_q_route_gives_the_one_message(call, q):
+    with pytest.raises(ValueError, match=rf"^q must lie in \[0, 1\], got {q}$"):
+        call(q)

@@ -124,7 +124,6 @@ class TestParsing:
              "monte_carlo.seed: must be an integer >= 0"),
             (lambda c: c.update(receiver={"radius_m": 6.771e6, "motion": "hover"}),
              "receiver.motion"),
-            (lambda c: c.update(output={"format": "yaml"}), "output.format"),
             (lambda c: c.update(protocol={"kind": "coherent", "alpha": math.nan}),
              "protocol.alpha: expected a number"),
             (lambda c: c.update(protocol={"kind": "tmss", "s": math.inf}),

@@ -20,6 +20,7 @@ from gravlink import (
     overlap_quadrature,
     propagate_packet,
     read_packet_csv,
+    single_photon_fidelity,
     tabulate,
     write_packet_csv,
 )
@@ -27,6 +28,7 @@ from gravlink.wavepacket import (
     _gk21,
     _gk_rule,
     _overlap_at_ratio,
+    _scale_terms,
     _shift_terms,
     total_probability,
 )
@@ -384,8 +386,16 @@ class TestMismatchQ:
         assert mismatch_q(1.0 + 1e-12) == 0.0
 
     def test_rejects_unphysical(self):
-        with pytest.raises(ValueError):
-            mismatch_q(1.0 + 1e-6)
+        # the fidelities' |Delta| <= 1 (+1e-9) rule, with its message
+        for call in (mismatch_q, single_photon_fidelity):
+            with pytest.raises(ValueError, match=r"^\|delta\| must be <= 1, got 1\.000001$"):
+                call(1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("delta", [1.0, -0.5, math.nan, math.inf])
+def test_shift_outside_the_closed_form_domain(delta):
+    with pytest.raises(ValueError, match=rf"^delta: must lie in \[0, 1\), got {delta}$"):
+        _scale_terms(delta, 1.0 - delta)
 
 
 def test_gaussian_packet_validation():
