@@ -189,17 +189,12 @@ def _emit(args, rows: list[dict], columns, tags=None, comments=(), doc=None) -> 
 
 def _result_notes(rows: list[dict], comments) -> tuple[dict, list[str]]:
     """The tags of result_to_dict rows, first seen first, and the comment
-    lines followed by one # extra line per value of a row's extras.  The
-    rows of a sweep carry equal tags, so a row whose tags equal the
-    previous row's adds none."""
+    lines followed by one # extra line per value of a row's extras."""
     tags: dict[str, str] = {}
     lines = list(comments)
-    previous = None
     for index, row in enumerate(rows):
-        if row["tags"] != previous:
-            previous = row["tags"]
-            for key, tag in previous.items():
-                tags.setdefault(key, tag)
+        for key, tag in row["tags"].items():
+            tags.setdefault(key, tag)
         for key, value in row.get("extras", {}).items():
             lines.append(f"# extra {key}[{index}] = {value!r}")
     return tags, lines
