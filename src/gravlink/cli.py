@@ -84,7 +84,7 @@ def _output_parent() -> argparse.ArgumentParser:
     group.add_argument(
         "--precision",
         type=_precision,
-        default=12,
+        default=None,
         metavar="DIGITS",
         help="significant digits for JSON floats (default 12; 17 is exact)",
     )
@@ -175,7 +175,8 @@ def _emit(args, rows: list[dict], columns, tags=None, comments=(), doc=None) -> 
     --out or stdout; result_to_dict rows come without tags, as they carry
     their own."""
     if args.format == "json":
-        text = render_json({"rows": rows, "tags": tags} if doc is None else doc, args.precision)
+        precision = 12 if args.precision is None else args.precision
+        text = render_json({"rows": rows, "tags": tags} if doc is None else doc, precision)
     else:
         if tags is None:
             tags, comments = _result_notes(rows, comments)
@@ -360,7 +361,7 @@ def _cmd_cv_homodyne(args) -> int:
         "v": "V = 2 |beta|^2 for |beta| >= 10 |alpha|, else 2 (|beta|^2 + |alpha|^2)",
         "pass": "overlap is 1 to 1e-12 and (X, V) identical to the first matched row",
     }
-    _emit(args, rows, ["scenario", "chi", "overlap", "x", "v", "pass"], tags)
+    _emit(args, rows, list(rows[0]), tags)
     return 0
 
 
@@ -436,7 +437,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_paper_table(args) -> int:
     rows = reference_table()
-    columns = ["quantity", "reference", "computed", "deviation", "tolerance", "verdict", "note"]
     tags = {
         "reference": "published value, as printed",
         "computed": "recomputed here from presets via the full pipeline",
@@ -444,7 +444,7 @@ def _cmd_paper_table(args) -> int:
         "tolerance": "maximum acceptable relative deviation",
         "verdict": "ok | fail | paper-inconsistent (the published numbers conflict)",
     }
-    _emit(args, rows, columns, tags)
+    _emit(args, rows, list(rows[0]), tags)
     return 3 if any(row["verdict"] == "fail" for row in rows) else 0
 
 
@@ -544,6 +544,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.format == "csv":
+            _reject_unread(args, ("precision",), "CSV floats are exact round-trip")
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return args.handler(args)

@@ -96,12 +96,6 @@ class FockVector:
     def __len__(self) -> int:
         return len(self.amplitudes)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        terms = ", ".join(
-            f"{''.join(map(str, k))}: {a:.4g}" for k, a in sorted(self.amplitudes.items())
-        )
-        return f"FockVector({{{terms}}})"
-
 
 @dataclass(frozen=True)
 class ClickOutcome:

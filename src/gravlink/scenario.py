@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 
 from . import entangleswap, fidelity
@@ -66,7 +66,7 @@ BODY_PRESETS: dict[str, dict] = {
 }
 
 STATION_PRESETS: dict[str, dict] = {
-    "ground": {"radius_m": 6_371_000.0, "motion": "static"},
+    "ground": {"radius_m": BODY_PRESETS["earth"]["radius_m"], "motion": "static"},
     "iss": {"radius_m": 6_771_000.0, "motion": "orbit"},
     "far_field": {"radius_m": math.inf, "motion": "static"},
 }
@@ -97,20 +97,6 @@ class ScenarioConfig:
     monte_carlo: MonteCarloSpec | None = None
 
 
-# the nine reported quantities, in output column order
-RESULT_FIELDS = (
-    "chi",
-    "delta",
-    "Delta",
-    "q",
-    "fidelity",
-    "negativity",
-    "qber",
-    "travel_time_s",
-    "redshift_ratio",
-)
-
-
 @dataclass(frozen=True)
 class ScenarioResult:
     """One scenario's numbers.  Fields not produced by the selected
@@ -131,9 +117,14 @@ class ScenarioResult:
     extras: dict[str, float] = field(default_factory=dict)
 
 
-def _result(fields: dict) -> ScenarioResult:
-    """The ScenarioResult with these fields (RESULT_FIELDS, tags, extras,
-    in that order), set without the frozen __init__'s per-field
+# the reported quantities, in output column order
+RESULT_FIELDS = tuple(f.name for f in fields(ScenarioResult) if f.name not in ("tags", "extras"))
+_NO_VALUES = dict.fromkeys(RESULT_FIELDS)
+
+
+def _result(values: dict, tags: dict, extras: dict) -> ScenarioResult:
+    """The ScenarioResult with these values, None in every other
+    RESULT_FIELDS column, set without the frozen __init__'s per-field
     object.__setattr__ calls, which cost more than a sweep point's
     arithmetic."""
     result = object.__new__(ScenarioResult)
@@ -141,7 +132,10 @@ def _result(fields: dict) -> ScenarioResult:
     # an update into an empty dict would copy the whole table of fields,
     # and the instance dict would stop sharing its keys (3x the memory)
     attributes["chi"] = None
-    attributes.update(fields)
+    attributes.update(_NO_VALUES)
+    attributes.update(values)
+    attributes["tags"] = tags
+    attributes["extras"] = extras
     return result
 
 
@@ -284,14 +278,16 @@ def parse_config(doc: dict) -> ScenarioConfig:
         if key not in doc:
             raise ConfigError(f"config.{key}: missing")
     body = _parse_body(doc["body"])
-    return ScenarioConfig(
-        body=body,
-        emitter=_parse_station(body, doc["emitter"], "emitter"),
-        receiver=_parse_station(body, doc["receiver"], "receiver"),
-        source=_parse_source(doc["source"]),
-        protocol=_parse_protocol(doc["protocol"]),
-        monte_carlo=_parse_monte_carlo(doc["monte_carlo"]) if "monte_carlo" in doc else None,
-    )
+    emitter = _parse_station(body, doc["emitter"], "emitter")
+    receiver = _parse_station(body, doc["receiver"], "receiver")
+    source = _parse_source(doc["source"])
+    protocol = _parse_protocol(doc["protocol"])
+    monte_carlo = None
+    if "monte_carlo" in doc:
+        if protocol.kind != "entangle_qkd":
+            raise ConfigError(f"monte_carlo: protocol kind {protocol.kind!r} has no Monte Carlo estimate")
+        monte_carlo = _parse_monte_carlo(doc["monte_carlo"])
+    return ScenarioConfig(body, emitter, receiver, source, protocol, monte_carlo)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -411,18 +407,15 @@ def _link_result(
     here."""
     ratio, travel, terms, _ = geometry
     d, q = _overlap_at_ratio(terms, peak / width)
-    # every RESULT_FIELDS key, in order, then tags and extras
-    fields = {"chi": 1.0 / ratio, "delta": terms[0], "Delta": d, "q": q,
-              "fidelity": None, "negativity": None, "qber": None,
-              "travel_time_s": travel, "redshift_ratio": ratio,
-              "tags": _LINK_TAGS[proto.kind].copy(), "extras": {}}
-    fields.update(PROTOCOL_TABLE[proto.kind][1](d, q, proto))
-    if proto.kind == "entangle_qkd" and monte_carlo is not None:
-        fields["extras"]["qber_mc"] = entangleswap.qber_monte_carlo(
-            q, monte_carlo.trials, monte_carlo.seed
-        )
-        fields["tags"]["qber_mc"] = "empirical fraction of disagreeing sifted bits (seeded)"
-    return _result(fields)
+    values = {"chi": 1.0 / ratio, "delta": terms[0], "Delta": d, "q": q,
+              "travel_time_s": travel, "redshift_ratio": ratio}
+    values.update(PROTOCOL_TABLE[proto.kind][1](d, q, proto))
+    extras = values.pop("extras", {})
+    tags = _LINK_TAGS[proto.kind].copy()
+    if monte_carlo is not None:  # parse_config allows it on entangle_qkd only
+        extras["qber_mc"] = entangleswap.qber_monte_carlo(q, monte_carlo.trials, monte_carlo.seed)
+        tags["qber_mc"] = "empirical fraction of disagreeing sifted bits (seeded)"
+    return _result(values, tags, extras)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -576,12 +569,12 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
     if parameter == "q":
         _, figures, figure_tags = PROTOCOL_TABLE[proto.kind]
         tags = {**_Q_TAGS, **figure_tags}
-        empty = dict.fromkeys(RESULT_FIELDS)
 
         def point(value):
             d = math.sqrt(1.0 - fidelity._check_q(value))
-            return _result({**empty, "Delta": d, "q": value, "tags": tags.copy(), "extras": {},
-                            **figures(d, value, proto)})
+            values = {"Delta": d, "q": value, **figures(d, value, proto)}
+            extras = values.pop("extras", {})
+            return _result(values, tags.copy(), extras)
     elif parameter == "receiver_radius_m":
         motion = config.receiver.motion.value
 

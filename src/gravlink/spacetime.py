@@ -29,7 +29,6 @@ __all__ = [
     "ConvergenceError",
     "redshift_total",
     "shift_parameter",
-    "tortoise",
     "coordinate_travel_time",
     "radius_after",
 ]
@@ -148,15 +147,11 @@ def _log_rate_factor(body: Body, obs: Observer) -> float:
     return math.log1p(-2.0 * mu / obs.radius)
 
 
-def _log_rate_ratio(body: Body, emitter: Observer, receiver: Observer) -> float:
-    """log(rate_A/rate_B) for an emitter A and a receiver B."""
-    return _log_rate_factor(body, emitter) - _log_rate_factor(body, receiver)
-
-
 def _link_shift(body: Body, emitter: Observer, receiver: Observer) -> tuple[float, float]:
-    """(Omega_B/Omega_A, x) = (exp(L/2), expm1(L/4)) from one log rate ratio L
-    per link: delta = |x|, and the scale factor k = 1 + x is 1 -+ delta."""
-    log_ratio = _log_rate_ratio(body, emitter, receiver)
+    """(Omega_B/Omega_A, x) = (exp(L/2), expm1(L/4)) from one log rate ratio
+    L = log(rate_A/rate_B) per link, for an emitter A and a receiver B:
+    delta = |x|, and the scale factor k = 1 + x is 1 -+ delta."""
+    log_ratio = _log_rate_factor(body, emitter) - _log_rate_factor(body, receiver)
     return math.exp(0.5 * log_ratio), math.expm1(0.25 * log_ratio)
 
 
@@ -199,13 +194,9 @@ def shift_parameter(body: Body, emitter: Observer, receiver: Observer) -> ShiftP
     return ShiftParameter(delta=abs(x), sign=Sign(_sign(x)))
 
 
-def tortoise(body: Body, r: float) -> float:
+def _tortoise(rs: float, r: float) -> float:
     """Tortoise coordinate r_* = r + r_s ln(r/r_s - 1); radial light moves
     at unit coordinate speed in (t, r_*)."""
-    return _tortoise(body.schwarzschild_radius, r)
-
-
-def _tortoise(rs: float, r: float) -> float:
     _check_above_horizon(rs, r)
     if rs == 0.0:
         return r

@@ -247,10 +247,6 @@ def propagate_packet(packet: WavePacket, ratio: float) -> WavePacket:
     return _normalized(packet.freq_hz / chi, packet.amp * math.sqrt(chi))
 
 
-def _disjoint(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    return a[1] < b[0] or b[1] < a[0]
-
-
 def overlap_quadrature(p1: WavePacket, p2: WavePacket) -> OverlapResult:
     """Delta = integral conj(F2) F1 dnu by adaptive quadrature.
 
@@ -272,7 +268,7 @@ def overlap_quadrature(p1: WavePacket, p2: WavePacket) -> OverlapResult:
     trapezoids on the tabulated grid.
     """
     s1, s2 = p1.support(), p2.support()
-    if _disjoint(s1, s2):
+    if s1[1] < s2[0] or s2[1] < s1[0]:  # disjoint supports
         return OverlapResult(delta=0.0, q=1.0, abserr=0.0)
 
     if isinstance(p1, GaussianPacket) and isinstance(p2, GaussianPacket):
@@ -419,22 +415,19 @@ def overlap_gaussian_closed(packet: GaussianPacket, shift: ShiftParameter) -> Ov
     The prefactor is evaluated as sqrt(1 - delta^2/(1 + k^2)) and q via
     expm1/log1p, so both stay exact down to delta ~ 1e-12: the overlap
     deficit 1 - Delta ~ 1e-20 regime underflows gracefully to q = 0
-    instead of drowning in cancellation.  _shift_terms computes the
+    instead of drowning in cancellation.  _scale_terms computes the
     shift-only terms and _overlap_at_ratio the rest, so a sweep over
     packets on one link computes the shift terms once.
     """
     if not isinstance(packet, GaussianPacket):
         raise TypeError("closed-form overlap needs a GaussianPacket")
-    value, q = _overlap_at_ratio(_shift_terms(shift), packet.peak_hz / packet.width_hz)
+    delta = shift.delta
+    terms = _scale_terms(delta, 1.0 + _signed_shift(delta, shift.sign.value))
+    value, q = _overlap_at_ratio(terms, packet.peak_hz / packet.width_hz)
     return OverlapResult(delta=value, q=q)
 
 
 _ShiftTerms = tuple[float, float, float, float]
-
-
-def _shift_terms(shift: ShiftParameter) -> _ShiftTerms:
-    delta = shift.delta
-    return _scale_terms(delta, 1.0 + _signed_shift(delta, shift.sign.value))
 
 
 def _scale_terms(delta: float, k: float) -> _ShiftTerms:

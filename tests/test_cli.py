@@ -87,9 +87,9 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 def test_no_subcommand_imports_scipy(tmp_path):
+    link = {k: v for k, v in LEO_CONFIG.items() if k != "monte_carlo"}
     cv = tmp_path / "cv.json"
-    cv.write_text(json.dumps(dict(LEO_CONFIG, protocol={"kind": "cv_homodyne", "alpha": 0.5,
-                                                         "beta": 1.0})))
+    cv.write_text(json.dumps(dict(link, protocol={"kind": "cv_homodyne", "alpha": 0.5, "beta": 1.0})))
     argvs = [
         ["redshift", "--receiver", "iss"],
         ["overlap", "--receiver", "iss", "--quadrature"],
@@ -437,7 +437,8 @@ class TestValidation:
 
     def test_huge_coherent_amplitude_underflows(self, gravlink, tmp_path):
         path = tmp_path / "loud.json"
-        path.write_text(json.dumps(dict(LEO_CONFIG, protocol={"kind": "coherent", "alpha": 1e200})))
+        link = {k: v for k, v in LEO_CONFIG.items() if k != "monte_carlo"}
+        path.write_text(json.dumps(dict(link, protocol={"kind": "coherent", "alpha": 1e200})))
         proc = gravlink("run", str(path))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["fidelity"] == 0.0
@@ -630,9 +631,15 @@ class TestUnreadFlags:
             (["overlap", "--receiver", "far_field", "--sign", "down"],
              "overlap: the geometry sets the sign; drop --sign"),
             (["qber", "--q", "0.1", "--seed", "5"], "qber: --seed needs --trials; drop --seed"),
+            (["redshift", "--receiver", "iss", "--format", "csv", "--precision", "3"],
+             "redshift: CSV floats are exact round-trip; drop --precision"),
+            # rejected before the handler runs: the config file is never opened
+            (["run", "missing.json", "--format", "csv", "--precision", "17"],
+             "run: CSV floats are exact round-trip; drop --precision"),
         ],
         ids=["entangle-receiver", "entangle-source", "entangle-peak-and-mass", "overlap-body",
-             "overlap-mass-and-emitter", "overlap-receiver", "overlap-sign", "qber-seed"],
+             "overlap-mass-and-emitter", "overlap-receiver", "overlap-sign", "qber-seed",
+             "redshift-csv-precision", "run-csv-precision"],
     )
     def test_rejected_with_their_names(self, gravlink, argv, message):
         proc = gravlink(*argv)

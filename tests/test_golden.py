@@ -4,9 +4,9 @@ print exactly the stored output.
 The files under tests/golden/ hold the stdout of each demo and of
 `gravlink paper-table --format csv`; tests/golden/cli/ holds the stdout
 of every command in CLI_CASES.  A refactor that changes any printed byte
-fails here; a deliberate change of output regenerates the file that
-holds it (`PYTHONPATH=src python tests/test_golden.py` rewrites the
-whole CLI set).
+fails here; a deliberate change of output regenerates the files that
+hold it (`PYTHONPATH=src python tests/test_golden.py` rewrites every
+file these tests compare).
 """
 
 from __future__ import annotations
@@ -107,6 +107,7 @@ def _cli_cases() -> dict[str, list[str]]:
     ]
     cases["qber-monte_carlo"] = ["qber", "--q", "0.2", "--trials", "20000", "--seed", "3"]
     cases["cv-homodyne"] = ["cv-homodyne", "--alpha", "0.5", "--beta", "30"]
+    cases["cv-homodyne-csv"] = ["cv-homodyne", "--alpha", "0.5", "--beta", "30", "--format", "csv"]
     cases["cv-homodyne-mismatched"] = [
         "cv-homodyne", "--alpha", "0.5", "--beta", "30", "--lo-peak-hz", "7.00000001e14",
         "--lo-width-hz", "1e6",
@@ -122,29 +123,41 @@ def _golden(name: str) -> str:
     return (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def _stdout(call) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        call()
+    return out.getvalue()
+
+
+def _main(argv: list[str]) -> None:
+    assert cli.main(argv) == 0, argv
+
+
+def _demo_stdout(demo: str) -> str:
+    return _stdout(lambda: runpy.run_path(str(ROOT / "demos" / f"{demo}.py"), run_name="__main__"))
+
+
+def _paper_table_csv() -> str:
+    return _stdout(lambda: _main(["paper-table", "--format", "csv"]))
+
+
 def _cli_stdout(case: str, config_dir: Path) -> str:
     paths = {}
     for name, doc in CLI_CONFIGS.items():
         path = config_dir / f"{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         paths[name] = str(path)
-    argv = [arg.format(**paths) for arg in CLI_CASES[case]]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    assert code == 0, (case, argv)
-    return out.getvalue()
+    return _stdout(lambda: _main([arg.format(**paths) for arg in CLI_CASES[case]]))
 
 
 @pytest.mark.parametrize("demo", DEMOS)
-def test_demo_stdout(demo, capsys):
-    runpy.run_path(str(ROOT / "demos" / f"{demo}.py"), run_name="__main__")
-    assert capsys.readouterr().out == _golden(f"{demo}.txt")
+def test_demo_stdout(demo):
+    assert _demo_stdout(demo) == _golden(f"{demo}.txt")
 
 
-def test_paper_table_csv(capsys):
-    assert cli.main(["paper-table", "--format", "csv"]) == 0
-    assert capsys.readouterr().out == _golden("paper_table.csv")
+def test_paper_table_csv():
+    assert _paper_table_csv() == _golden("paper_table.csv")
 
 
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
@@ -160,12 +173,14 @@ def test_cli_set_has_no_stale_files():
 if __name__ == "__main__":
     import tempfile
 
-    target = GOLDEN / "cli"
-    target.mkdir(exist_ok=True)
-    for stale in target.glob("*.txt"):
-        stale.unlink()
+    # every text first, so that a failing command leaves the stored set as it was
+    texts = {f"{demo}.txt": _demo_stdout(demo) for demo in DEMOS}
+    texts["paper_table.csv"] = _paper_table_csv()
     with tempfile.TemporaryDirectory() as tmp:
-        for case in CLI_CASES:
-            text = _cli_stdout(case, Path(tmp))
-            (target / f"{case}.txt").write_text(text, encoding="utf-8", newline="")
-    print(f"wrote {len(CLI_CASES)} files to {target}", file=sys.stderr)
+        texts.update((f"cli/{case}.txt", _cli_stdout(case, Path(tmp))) for case in CLI_CASES)
+    (GOLDEN / "cli").mkdir(exist_ok=True)
+    for stale in (GOLDEN / "cli").glob("*.txt"):
+        stale.unlink()
+    for name, text in texts.items():
+        (GOLDEN / name).write_text(text, encoding="utf-8", newline="")
+    print(f"wrote {len(texts)} files to {GOLDEN}", file=sys.stderr)

@@ -140,6 +140,17 @@ class TestParsing:
              r"^receiver\.radius_m: below the body surface r = 6371000\.0 m, got 0\.0$"),
             (lambda c: c.update(emitter={"radius_m": -math.inf}),
              r"^emitter\.radius_m: below the body surface r = 6371000\.0 m, got -inf$"),
+            # only entangle_qkd reads a monte_carlo block; the kind is judged
+            # before the block's own fields
+            (lambda c: c.update(protocol="single_photon", monte_carlo={"trials": 20_000, "seed": 1}),
+             r"^monte_carlo: protocol kind 'single_photon' has no Monte Carlo estimate$"),
+            (lambda c: c.update(protocol={"kind": "coherent", "alpha": 1.5},
+                                monte_carlo={"trials": 20_000, "seed": 1}),
+             r"^monte_carlo: protocol kind 'coherent' has no Monte Carlo estimate$"),
+            (lambda c: c.update(protocol={"kind": "tmss", "s": 0.8}, monte_carlo={"trials": 1, "seed": -1}),
+             r"^monte_carlo: protocol kind 'tmss' has no Monte Carlo estimate$"),
+            (lambda c: c.update(protocol=CV_PROTOCOL, monte_carlo={"trials": 20_000, "seed": 1}),
+             r"^monte_carlo: protocol kind 'cv_homodyne' has no Monte Carlo estimate$"),
         ],
     )
     def test_rejects_bad_configs_with_field_paths(self, mutate, message):

@@ -24,9 +24,8 @@ from gravlink import (
     radius_after,
     redshift_total,
     shift_parameter,
-    tortoise,
 )
-from gravlink.spacetime import _log_rate_ratio
+from gravlink.spacetime import _log_rate_factor, _tortoise
 
 EARTH = Body(mass=5.972e24, radius=6_371_000.0)
 FLAT = Body(mass=0.0, radius=6_371_000.0)
@@ -215,13 +214,13 @@ def test_co_located_stations_take_no_time():
 
 
 def test_tortoise_log_term():
-    assert tortoise(EARTH, R_GROUND) - R_GROUND == pytest.approx(
+    assert _tortoise(EARTH.schwarzschild_radius, R_GROUND) - R_GROUND == pytest.approx(
         0.1808763566658402, abs=5e-9
     )
 
 
 def test_tortoise_flat_is_identity():
-    assert tortoise(FLAT, R_GROUND) == R_GROUND
+    assert _tortoise(FLAT.schwarzschild_radius, R_GROUND) == R_GROUND
 
 
 def test_travel_time_ground_to_orbit():
@@ -289,7 +288,8 @@ def test_swapping_the_stations_reverses_the_link(pair, u_b, motion_a, motion_b):
     body, r_a = pair
     a = Observer(r_a, motion_a)
     b = Observer(body.schwarzschild_radius * math.exp(u_b), motion_b)
-    assert _log_rate_ratio(body, b, a) == -_log_rate_ratio(body, a, b)
+    assert (_log_rate_factor(body, b) - _log_rate_factor(body, a)
+            == -(_log_rate_factor(body, a) - _log_rate_factor(body, b)))
     there, back = shift_parameter(body, a, b), shift_parameter(body, b, a)
     if there.delta == 0.0 or back.delta == 0.0:
         assert there == back == ShiftParameter(0.0, Sign.UP)
@@ -305,7 +305,8 @@ def test_swapping_the_stations_reverses_the_link(pair, u_b, motion_a, motion_b):
 def test_tortoise_strictly_increasing(pair, eps):
     body, r1 = pair
     r2 = r1 * (1.0 + eps)
-    assert tortoise(body, r2) > tortoise(body, r1)
+    rs = body.schwarzschild_radius
+    assert _tortoise(rs, r2) > _tortoise(rs, r1)
 
 
 @given(_body_and_radius(min_factor=1.1), st.floats(1e-6, 1e3))
@@ -314,7 +315,7 @@ def test_light_ray_round_trip(pair, t):
     body, r0 = pair
     r1 = radius_after(body, r0, t)
     assert r1 >= r0
-    target = tortoise(body, r0) + C * t
+    target = _tortoise(body.schwarzschild_radius, r0) + C * t
     tol_t = (max(1e-9, 8.0 * math.ulp(abs(target))) + 16.0 * math.ulp(abs(target))) / C
     assert abs(coordinate_travel_time(body, r0, r1) - t) <= tol_t
 

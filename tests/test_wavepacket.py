@@ -29,7 +29,6 @@ from gravlink.wavepacket import (
     _gk_rule,
     _overlap_at_ratio,
     _scale_terms,
-    _shift_terms,
     total_probability,
 )
 
@@ -131,15 +130,16 @@ class TestClosedForm:
     def test_overlap_at_any_ratio_stays_in_range(self, delta, sign, ratio):
         # the square of delta * ratio overflows past ratio ~ 1e154/delta, and
         # an infinite ratio times delta = 0 would be NaN
-        value, q = _overlap_at_ratio(_shift_terms(_shift(delta, sign)), ratio)
+        k = 1.0 - delta if sign is Sign.UP else 1.0 + delta
+        value, q = _overlap_at_ratio(_scale_terms(delta, k), ratio)
         assert 0.0 <= value <= 1.0 and 0.0 <= q <= 1.0
         if delta == 0.0:
             assert (value, q) == (1.0, 0.0)
 
     @pytest.mark.parametrize("ratio", [1e170, math.inf])
     def test_overlap_past_the_float_square(self, ratio):
-        assert _overlap_at_ratio(_shift_terms(_shift(DELTA_LEO)), ratio) == (0.0, 1.0)
-        assert _overlap_at_ratio(_shift_terms(_shift(0.0)), ratio) == (1.0, 0.0)
+        assert _overlap_at_ratio(_scale_terms(DELTA_LEO, 1.0 - DELTA_LEO), ratio) == (0.0, 1.0)
+        assert _overlap_at_ratio(_scale_terms(0.0, 1.0), ratio) == (1.0, 0.0)
 
 
 class TestQuadrature:
