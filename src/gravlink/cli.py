@@ -2,7 +2,8 @@
 
 Every subcommand prints a machine-readable table (JSON by default, CSV
 with --format csv) in which each numeric column carries a formula tag,
-either inline (JSON) or as # comment lines above the header (CSV).
+in one tags block after the rows (JSON) or as # comment lines above the
+header (CSV).
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure,
 3 reference-table verdict failure.
@@ -21,13 +22,14 @@ from .fidelity import _check_q
 from .scenario import (
     BODY_PRESETS,
     PROTOCOL_TABLE,
-    RESULT_FIELDS,
     SOURCE_PRESETS,
     STATION_PRESETS,
     SWEEP_PARAMETERS,
     ConfigError,
     Protocol,
+    _GEOMETRY_TAGS,
     _MAX_GRID_POINTS,
+    _QBER_MC_TAG,
     _link_geometry,
     _parse_body,
     _parse_monte_carlo,
@@ -46,7 +48,40 @@ from .spacetime import (Body, ConvergenceError, Observer, _link_shift, _sign, _s
                         coordinate_travel_time)
 from .wavepacket import GaussianPacket, _overlap_at_ratio, _scale_terms, overlap_quadrature
 
-_DEVIATION_TAG = "|computed - reference| / |reference|"
+# The one text of every column a subcommand prints: the pipeline's own for
+# the link and protocol quantities (the fidelity is entangle_qkd's, which
+# entangle prints), and here those only the subcommands print.
+_TAGS = {
+    **PROTOCOL_TABLE["cv_homodyne"][2],
+    **PROTOCOL_TABLE["entangle_qkd"][2],
+    **_GEOMETRY_TAGS,
+    "qber_mc": _QBER_MC_TAG,
+    "sign": "up: received frequencies lower (redshift), k = 1 - delta; down: higher (blueshift), k = 1 + delta",
+    "Delta_quadrature": (
+        "adaptive quadrature of integral F_A*(nu) F_B(nu) dnu over the"
+        " explicitly scaled pair; differences from Delta at the 1e-9 level"
+        " come from rounding the scale factor 1 -+ delta to a representable"
+        " number when building that pair, not from the integrator"
+    ),
+    "q_quadrature": "q = 1 - |Delta_quadrature|^2",
+    "quadrature_abserr": "integrator's absolute error estimate",
+    "p_share": "p_share = (2 - q)/2",
+    "p_diff": "p_diff = q/2",
+    "p_d1": "six-mode simulation: P(single click at D1)",
+    "p_d2": "six-mode simulation: P(single click at D2)",
+    "negativity_d1_sim": "eigenvalue negativity of the simulated D1 memory state",
+    "negativity_d2_sim": "eigenvalue negativity of the simulated D2 memory state",
+    "sim_vs_closed_max_abs": "max |rho_sim - rho_closed| over both heralds",
+    "trials": "Monte Carlo sample count",
+    "seed": "generator seed (runs are reproducible)",
+    "overlap": "received signal/LO mode overlap (quadrature)",
+    "pass": "overlap is 1 to 1e-12 and (X, V) identical to the first matched row",
+    "reference": "published value, as printed",
+    "computed": "recomputed here from presets via the full pipeline",
+    "deviation": "|computed - reference| / |reference|",
+    "tolerance": "maximum acceptable relative deviation",
+    "verdict": "ok | fail | paper-inconsistent (the published numbers conflict)",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,36 +204,29 @@ def _link(args, alternative: str = "") -> tuple[Body, Observer, Observer]:
 # emission
 
 
-def _emit(args, rows: list[dict], columns, tags=None, comments=(), doc=None) -> None:
-    """Write doc (by default the rows and their tags) as JSON, or the
-    comment lines followed by render_csv(rows, columns, tags) as CSV, to
-    --out or stdout; result_to_dict rows come without tags, as they carry
-    their own."""
+def _emit(args, rows: list[dict], tags=None, head=None, comments=()) -> None:
+    """Write the rows and their tags to --out or stdout: as JSON, the
+    document {**head, "rows": rows, "tags": tags}; as CSV, the comment
+    lines, one # extra line per value of a row's extras, then
+    render_csv of the columns (the first row's keys less extras).  tags
+    defaults to the _TAGS texts of the columns."""
+    columns = [key for key in rows[0] if key != "extras"]
+    if tags is None:
+        tags = {key: _TAGS[key] for key in columns if key in _TAGS}
     if args.format == "json":
         precision = 12 if args.precision is None else args.precision
-        text = render_json({"rows": rows, "tags": tags} if doc is None else doc, precision)
+        text = render_json({**(head or {}), "rows": rows, "tags": tags}, precision)
     else:
-        if tags is None:
-            tags, comments = _result_notes(rows, comments)
-        text = "".join(line + "\n" for line in comments) + render_csv(rows, columns, tags)
+        lines = list(comments)
+        for index, row in enumerate(rows):
+            for key, value in row.get("extras", {}).items():
+                lines.append(f"# extra {key}[{index}] = {value!r}")
+        text = "".join(line + "\n" for line in lines) + render_csv(rows, columns, tags)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _result_notes(rows: list[dict], comments) -> tuple[dict, list[str]]:
-    """The tags of result_to_dict rows, first seen first, and the comment
-    lines followed by one # extra line per value of a row's extras."""
-    tags: dict[str, str] = {}
-    lines = list(comments)
-    for index, row in enumerate(rows):
-        for key, tag in row["tags"].items():
-            tags.setdefault(key, tag)
-        for key, value in row.get("extras", {}).items():
-            lines.append(f"# extra {key}[{index}] = {value!r}")
-    return tags, lines
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +244,7 @@ def _cmd_redshift(args) -> int:
         "sign": _sign(x),
         "travel_time_s": coordinate_travel_time(body, emitter.radius, receiver.radius),
     }
-    tags = {
-        "redshift_ratio": "Omega_B/Omega_A = sqrt(rate_A/rate_B), rate = 1 - 2M/r static, 1 - 3M/r orbit",
-        "chi": "chi = 1/redshift_ratio",
-        "delta": "delta = |(rate_A/rate_B)^(1/4) - 1|",
-        "sign": "up: received frequencies lower (redshift); down: higher (blueshift)",
-        "travel_time_s": "t = |r_*(B) - r_*(A)|/c",
-    }
-    _emit(args, [row], list(row), tags)
+    _emit(args, [row])
     return 0
 
 
@@ -241,12 +262,6 @@ def _cmd_overlap(args) -> int:
         sign = _sign(x)
     d, q = _overlap_at_ratio(terms, packet.peak_hz / packet.width_hz)
     row = {"delta": terms[0], "sign": sign, "Delta": d, "q": q}
-    tags = {
-        "delta": "frequency-rate shift parameter",
-        "sign": "up: k = 1 - delta; down: k = 1 + delta",
-        "Delta": "Delta = sqrt(2k/(1+k^2)) exp(-(delta peak)^2/(4(1+k^2) width^2))",
-        "q": "q = 1 - Delta^2",
-    }
     if args.quadrature:
         k = 1.0 + x
         received = GaussianPacket(peak_hz=k * packet.peak_hz, width_hz=k * packet.width_hz)
@@ -254,15 +269,7 @@ def _cmd_overlap(args) -> int:
         row["Delta_quadrature"] = float(abs(numeric.delta))
         row["q_quadrature"] = numeric.q
         row["quadrature_abserr"] = numeric.abserr
-        tags["Delta_quadrature"] = (
-            "adaptive quadrature of integral F_A*(nu) F_B(nu) dnu over the"
-            " explicitly scaled pair; differences from Delta at the 1e-9 level"
-            " come from rounding the scale factor 1 -+ delta to a representable"
-            " number when building that pair, not from the integrator"
-        )
-        tags["q_quadrature"] = "q = 1 - |Delta_quadrature|^2"
-        tags["quadrature_abserr"] = "integrator's absolute error estimate"
-    _emit(args, [row], list(row), tags)
+    _emit(args, [row])
     return 0
 
 
@@ -279,15 +286,13 @@ def _cmd_entangle(args) -> int:
     state = entangleswap.build_initial_state(q)
     state = entangleswap.apply_beamsplitter(state, entangleswap.AP, entangleswap.BP)
     state = entangleswap.apply_beamsplitter(state, entangleswap.CP, entangleswap.DP)
+    # a single click has probability 1/4 at every q: both heralds hold a state
     d1 = entangleswap.detect(state, "D1")
     d2 = entangleswap.detect(state, "D2")
-    sim_gap = 0.0
-    for outcome in (d1, d2):
-        if outcome.memory_state is not None:
-            closed = entangleswap.memory_state_closed(q, outcome.which)
-            sim_gap = max(sim_gap, float(np.max(np.abs(outcome.memory_state - closed))))
+    sim_gap = max(float(np.max(np.abs(o.memory_state - entangleswap.memory_state_closed(q, o.which))))
+                  for o in (d1, d2))
     p_share, p_diff = entangleswap.bit_probabilities(q)
-    _, figures, figure_tags = PROTOCOL_TABLE["entangle_qkd"]
+    figures = PROTOCOL_TABLE["entangle_qkd"][1]
     row = {
         "q": q,
         **figures(math.sqrt(1.0 - q), q, Protocol(kind="entangle_qkd")),
@@ -295,33 +300,17 @@ def _cmd_entangle(args) -> int:
         "p_diff": p_diff,
         "p_d1": d1.probability,
         "p_d2": d2.probability,
-        "negativity_d1_sim": (
-            entangleswap.negativity(d1.memory_state) if d1.memory_state is not None else None
-        ),
-        "negativity_d2_sim": (
-            entangleswap.negativity(d2.memory_state) if d2.memory_state is not None else None
-        ),
+        "negativity_d1_sim": entangleswap.negativity(d1.memory_state),
+        "negativity_d2_sim": entangleswap.negativity(d2.memory_state),
         "sim_vs_closed_max_abs": sim_gap,
     }
-    tags = {
-        "q": "mode mismatch weight",
-        **figure_tags,
-        "p_share": "p_share = (2 - q)/2",
-        "p_diff": "p_diff = q/2",
-        "p_d1": "six-mode simulation: P(single click at D1)",
-        "p_d2": "six-mode simulation: P(single click at D2)",
-        "negativity_d1_sim": "eigenvalue negativity of the simulated D1 memory state",
-        "negativity_d2_sim": "eigenvalue negativity of the simulated D2 memory state",
-        "sim_vs_closed_max_abs": "max |rho_sim - rho_closed| over both heralds",
-    }
-    _emit(args, [row], list(row), tags)
+    _emit(args, [row])
     return 0
 
 
 def _cmd_qber(args) -> int:
     q = _check_q(args.q)
     row = {"q": q, "qber": entangleswap.qber_closed(q)}
-    tags = {"q": "mode mismatch weight", "qber": "QBER = q/2"}
     if args.trials is None:
         _reject_unread(args, ("seed",), "--seed needs --trials")
     else:
@@ -330,10 +319,7 @@ def _cmd_qber(args) -> int:
         row["qber_mc"] = entangleswap.qber_monte_carlo(q, spec.trials, spec.seed)
         row["trials"] = spec.trials
         row["seed"] = spec.seed
-        tags["qber_mc"] = "empirical fraction of disagreeing sifted bits"
-        tags["trials"] = "Monte Carlo sample count"
-        tags["seed"] = "generator seed (runs are reproducible)"
-    _emit(args, [row], list(row), tags)
+    _emit(args, [row])
     return 0
 
 
@@ -354,21 +340,13 @@ def _cmd_cv_homodyne(args) -> int:
     rows = curvature_invariance_report(prep, scenarios, packet=packet, lo_packet=lo_packet)
     for row, label in zip(rows, labels):
         row["scenario"] = label
-    tags = {
-        "chi": "chi = 1/redshift_ratio applied to both signal and LO",
-        "overlap": "received signal/LO mode overlap (quadrature)",
-        "x": "X = 2 Re(alpha conj(beta))",
-        "v": "V = 2 |beta|^2 for |beta| >= 10 |alpha|, else 2 (|beta|^2 + |alpha|^2)",
-        "pass": "overlap is 1 to 1e-12 and (X, V) identical to the first matched row",
-    }
-    _emit(args, rows, list(rows[0]), tags)
+    _emit(args, rows)
     return 0
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    row = result_to_dict(run_scenario(config))
-    _emit(args, [row], RESULT_FIELDS, doc=row)
+    result = run_scenario(load_config(args.config))
+    _emit(args, [result_to_dict(result)], result.tags)
     return 0
 
 
@@ -425,26 +403,20 @@ def _parse_grid(text: str) -> list[float]:
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     grid = _parse_grid(args.grid)
-    rows = [result_to_dict(r) for r in sweep(config, args.parameter, grid)]
-    payload = {"parameter": args.parameter, "grid": grid, "rows": rows}
+    results = sweep(config, args.parameter, grid)
     comments = (
         f"# sweep parameter: {args.parameter}",
         "# grid: " + ",".join(repr(v) for v in grid),
     )
-    _emit(args, rows, RESULT_FIELDS, comments=comments, doc=payload)
+    # sweep drops monte_carlo, so every row of one sweep has the same tags
+    _emit(args, [result_to_dict(r) for r in results], results[0].tags,
+          head={"parameter": args.parameter, "grid": grid}, comments=comments)
     return 0
 
 
 def _cmd_paper_table(args) -> int:
     rows = reference_table()
-    tags = {
-        "reference": "published value, as printed",
-        "computed": "recomputed here from presets via the full pipeline",
-        "deviation": _DEVIATION_TAG,
-        "tolerance": "maximum acceptable relative deviation",
-        "verdict": "ok | fail | paper-inconsistent (the published numbers conflict)",
-    }
-    _emit(args, rows, list(rows[0]), tags)
+    _emit(args, rows)
     return 3 if any(row["verdict"] == "fail" for row in rows) else 0
 
 

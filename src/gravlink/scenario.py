@@ -376,6 +376,8 @@ _LINK_TAGS = {kind: {**_GEOMETRY_TAGS, **tags} for kind, (_, _, tags) in PROTOCO
 _PROTOCOL_KEYS = {kind: frozenset({*params, "kind"}) for kind, (params, _, _) in PROTOCOL_TABLE.items()}
 _CONFIG_KEYS = frozenset({"body", "emitter", "receiver", "source", "protocol", "monte_carlo"})
 
+_QBER_MC_TAG = "empirical fraction of disagreeing sifted bits (seeded)"
+
 _Geometry = tuple[float, float, _ShiftTerms, float]
 
 
@@ -414,7 +416,7 @@ def _link_result(
     tags = _LINK_TAGS[proto.kind].copy()
     if monte_carlo is not None:  # parse_config allows it on entangle_qkd only
         extras["qber_mc"] = entangleswap.qber_monte_carlo(q, monte_carlo.trials, monte_carlo.seed)
-        tags["qber_mc"] = "empirical fraction of disagreeing sifted bits (seeded)"
+        tags["qber_mc"] = _QBER_MC_TAG
     return _result(values, tags, extras)
 
 
@@ -534,8 +536,8 @@ def reference_table() -> list[dict]:
 SWEEP_PARAMETERS = ("width_hz", "peak_hz", "receiver_radius_m", "q")
 
 # Largest accepted sweep grid: a 10^5-point receiver_radius_m sweep
-# prints 96 MB of JSON in 3.1-3.5 s and peaks at 442 MB on a 2-core
-# host (BENCH_15.json), and the cost grows linearly from there.
+# prints 33 MB of JSON in 2.2-2.5 s and peaks at 200 MB on a 2-core
+# host (BENCH_23.json), and the cost grows linearly from there.
 _MAX_GRID_POINTS = 100_000
 
 
@@ -604,9 +606,11 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
 
 
 def result_to_dict(result: ScenarioResult) -> dict:
+    """The result's columns, in RESULT_FIELDS order, and its extras when
+    it has any; the tags describe columns and stay on result.tags."""
     # the instance dict holds RESULT_FIELDS, tags and extras, in that order
     doc = result.__dict__.copy()
-    doc["tags"] = dict(doc["tags"])
+    del doc["tags"]
     extras = doc.pop("extras")
     if extras:
         doc["extras"] = dict(extras)
@@ -648,9 +652,8 @@ def render_json(doc, precision: int | None = None) -> str:
     writes it.  Every list is a column of values, and every dict is a
     row of a table: the dicts of a column are grouped by key order, and
     each group is written _ROW_BLOCK rows at a time, column by column,
-    each row filling one % template of the key texts.  A block of equal
-    rows of strs (a sweep's tags) fills it once, and a lone dict is a
-    one-row table.
+    each row filling one % template of the key texts, and a lone dict is
+    a one-row table.
 
     number() is the one float rule.  A column of floats is formatted in
     one % call at precisions up to 15, and a column of one repeated
@@ -763,15 +766,10 @@ def render_json(doc, precision: int | None = None) -> str:
         texts = []
         for start in range(0, len(dicts), _ROW_BLOCK):
             block = dicts[start:start + _ROW_BLOCK]
-            first = block[0]
             # tuples from lists: one from a map is built at 10 items and
             # resized, which grows CPython's free list of its final size
-            if {*map(type, first.values())} == {str} and block.count(first) == len(block):
-                # equal rows of strs (a sweep's tags) have one text
-                texts += [template % (*map(string, first.values()),)] * len(block)
-            else:
-                columns = [column(c, inner) for c in zip(*[d.values() for d in block])]
-                texts += map(template.__mod__, zip(*columns))
+            columns = [column(c, inner) for c in zip(*[d.values() for d in block])]
+            texts += map(template.__mod__, zip(*columns))
         return texts
 
     return value(doc, "\n") + "\n"

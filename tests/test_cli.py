@@ -148,6 +148,35 @@ def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+def test_each_tag_name_has_one_text(gravlink, tmp_path):
+    """A quantity reads the same formula in every subcommand; fidelity is
+    compared within one protocol kind, as each kind has its own."""
+    link = {k: v for k, v in LEO_CONFIG.items() if k != "monte_carlo"}
+    runs = {"entangle_qkd": LEO_CONFIG,
+            "cv_homodyne": dict(link, protocol={"kind": "cv_homodyne", "alpha": 0.5, "beta": 30.0})}
+    argvs = {
+        "entangle_qkd": [["redshift", "--receiver", "iss"],
+                         ["overlap", "--receiver", "iss", "--quadrature"],
+                         ["entangle", "--receiver", "iss"],
+                         ["qber", "--q", "0.1", "--trials", "20000"],
+                         ["paper-table"]],
+        "cv_homodyne": [["cv-homodyne", "--alpha", "0.5", "--beta", "30"]],
+    }
+    for kind, doc in runs.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        argvs[kind].append(["run", str(path)])
+    texts: dict[tuple, set] = {}
+    for kind, calls in argvs.items():
+        for argv in calls:
+            proc = gravlink(*argv)
+            assert proc.returncode == 0, proc.stderr
+            for name, text in json.loads(proc.stdout)["tags"].items():
+                texts.setdefault((name, kind if name == "fidelity" else None), set()).add(text)
+    assert {key: sorted(found) for key, found in texts.items() if len(found) > 1} == {}
+    assert ("qber_mc", None) in texts and ("Delta_quadrature", None) in texts
+
+
 class TestExitCodes:
     def test_missing_subcommand(self):
         assert run_cli().returncode == 1
@@ -309,7 +338,7 @@ class TestValidation:
         path.write_text(json.dumps(dict(LEO_CONFIG, receiver={"radius_m": 7e6, "motion": "static"})))
         (row,) = _rows(gravlink("sweep", str(path), "--parameter", "receiver_radius_m", "--grid", "inf"))
         path.write_text(json.dumps(dict(LEO_CONFIG, receiver="far_field")))
-        far = json.loads(gravlink("run", str(path)).stdout)
+        (far,) = _rows(gravlink("run", str(path)))
         assert {k: row[k] for k in RESULT_FIELDS} == {k: far[k] for k in RESULT_FIELDS}
 
 
@@ -441,7 +470,7 @@ class TestValidation:
         path.write_text(json.dumps(dict(link, protocol={"kind": "coherent", "alpha": 1e200})))
         proc = gravlink("run", str(path))
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["fidelity"] == 0.0
+        assert _rows(proc)[0]["fidelity"] == 0.0
 
 
 # numbers outside every domain next to ordinary ones: NaN, +-inf, integers
@@ -829,7 +858,7 @@ class TestRunAndSweep:
         assert run_cli("run", str(leo_config), "--out", str(out1)).returncode == 0
         assert run_cli("run", str(leo_config), "--out", str(out2)).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
-        doc = json.loads(out1.read_text())
+        (doc,) = json.loads(out1.read_text())["rows"]
         assert doc["q"] == pytest.approx(0.0025083294283674017, rel=1e-6)
         assert "qber_mc" in doc["extras"]
 
@@ -866,7 +895,7 @@ class TestRunAndSweep:
             path.write_text(json.dumps(doc))
             proc = gravlink("run", str(path), "--precision", "17")
             assert proc.returncode == 0, proc.stderr
-            rows[name] = json.loads(proc.stdout)
+            (rows[name],) = _rows(proc)
         up, down = rows["up"], rows["down"]
         assert abs(down["redshift_ratio"] * up["redshift_ratio"] - 1.0) <= 2 * 2.0**-52
         assert down["q"] == pytest.approx(up["q"], rel=1e-12)
@@ -900,7 +929,7 @@ class TestRunAndSweep:
         path.write_text(json.dumps(dict(LEO_CONFIG, source={"peak_hz": 1e170, "width_hz": 1e6})))
         proc = gravlink("run", str(path))
         assert proc.returncode == 0, proc.stderr
-        doc = json.loads(proc.stdout)
+        (doc,) = _rows(proc)
         assert (doc["Delta"], doc["q"]) == (0.0, 1.0)
         rows = _rows(gravlink("sweep", str(path), "--parameter", "peak_hz", "--grid", "7e14,1e170"))
         assert (rows[1]["Delta"], rows[1]["q"]) == (0.0, 1.0)
@@ -912,7 +941,7 @@ class TestRunAndSweep:
                                         source={"peak_hz": 1e300, "width_hz": 1e-10})))
         run = gravlink("run", str(path))
         assert run.returncode == 0, run.stderr
-        rows = [json.loads(run.stdout)]
+        rows = _rows(run)
         rows += _rows(gravlink("sweep", str(path), "--parameter", "width_hz", "--grid", "1e-10,1e6"))
         for row in rows:
             assert (row["Delta"], row["q"], row["fidelity"]) == (1.0, 0.0, 1.0)

@@ -6,7 +6,7 @@ The files under tests/golden/ hold the stdout of each demo and of
 of every command in CLI_CASES.  A refactor that changes any printed byte
 fails here; a deliberate change of output regenerates the files that
 hold it (`PYTHONPATH=src python tests/test_golden.py` rewrites every
-file these tests compare).
+file these tests compare whose bytes changed, and names each on stderr).
 """
 
 from __future__ import annotations
@@ -94,6 +94,7 @@ def _cli_cases() -> dict[str, list[str]]:
     # no shift keeps the sign it was given
     cases["overlap-delta-zero-down"] = ["overlap", "--delta", "0", "--sign", "down"]
     cases["overlap-far_field-p17"] = ["overlap", "--receiver", "far_field", "--precision", "17"]
+    cases["overlap-iss-csv"] = ["overlap", "--receiver", "iss", "--format", "csv"]
     cases["entangle"] = ["entangle", "--receiver", "far_field"]
     cases["entangle-csv"] = ["entangle", "--q", "0.25", "--format", "csv"]
     cases["entangle-iss-csv"] = ["entangle", "--receiver", "iss", "--format", "csv"]
@@ -105,6 +106,8 @@ def _cli_cases() -> dict[str, list[str]]:
         "redshift", "--mass-kg", "1e30", "--body-radius-m", "1700", "--receiver-radius-m", "2230",
         "--receiver-motion", "orbit", "--precision", "17",
     ]
+    cases["qber"] = ["qber", "--q", "0.1"]
+    cases["qber-csv"] = ["qber", "--q", "0.1", "--format", "csv"]
     cases["qber-monte_carlo"] = ["qber", "--q", "0.2", "--trials", "20000", "--seed", "3"]
     cases["cv-homodyne"] = ["cv-homodyne", "--alpha", "0.5", "--beta", "30"]
     cases["cv-homodyne-csv"] = ["cv-homodyne", "--alpha", "0.5", "--beta", "30", "--format", "csv"]
@@ -180,7 +183,12 @@ if __name__ == "__main__":
         texts.update((f"cli/{case}.txt", _cli_stdout(case, Path(tmp))) for case in CLI_CASES)
     (GOLDEN / "cli").mkdir(exist_ok=True)
     for stale in (GOLDEN / "cli").glob("*.txt"):
-        stale.unlink()
+        if f"cli/{stale.name}" not in texts:
+            stale.unlink()
+            print(f"removed {stale.relative_to(GOLDEN)}", file=sys.stderr)
+    # name each file whose bytes change, and leave the others untouched
     for name, text in texts.items():
-        (GOLDEN / name).write_text(text, encoding="utf-8", newline="")
-    print(f"wrote {len(texts)} files to {GOLDEN}", file=sys.stderr)
+        path = GOLDEN / name
+        if not path.exists() or path.read_bytes() != text.encode("utf-8"):
+            path.write_text(text, encoding="utf-8", newline="")
+            print(f"wrote {name}", file=sys.stderr)

@@ -309,7 +309,7 @@ def test_sweeps_past_the_row_block_match_the_oracles(parameter):
     tags = {key: tag for r in results for key, tag in r.tags.items()}
     columns = list(RESULT_FIELDS)
     assert render_csv(table, columns, tags) == _old_render_csv(table, columns, tags)
-    # the CLI's rows: result_to_dict's, with tags after the columns
+    # the CLI's rows: result_to_dict's
     rows = doc["rows"]
     assert render_csv(rows, columns, tags) == _old_render_csv(rows, columns, tags)
 
@@ -324,13 +324,13 @@ _PROTOCOLS = [
 
 
 @pytest.fixture(scope="module")
-def batch_rows():
-    """result_to_dict rows of every protocol kind, shuffled as a batch of
+def batch_results():
+    """run_scenario results of every protocol kind, shuffled as a batch of
     independent runs interleaves them.  A quarter of the entangle_qkd
-    runs carry a Monte Carlo, so the rows have two key orders (with and
-    without extras) and their tags four."""
+    runs carry a Monte Carlo, so their rows have two key orders (with and
+    without extras)."""
     rng = random.Random(2021)
-    rows = []
+    results = []
     for i in range(2 * _ROW_BLOCK + 400):
         doc = {
             "body": "earth",
@@ -341,14 +341,18 @@ def batch_rows():
         }
         if i % 20 == 3:
             doc["monte_carlo"] = {"trials": 10_000, "seed": i}
-        rows.append(result_to_dict(run_scenario(parse_config(doc))))
-    rng.shuffle(rows)
-    return rows
+        results.append(run_scenario(parse_config(doc)))
+    rng.shuffle(results)
+    return results
+
+
+@pytest.fixture(scope="module")
+def batch_rows(batch_results):
+    return [result_to_dict(r) for r in batch_results]
 
 
 def test_batch_rows_interleave_their_shapes(batch_rows):
     assert len({tuple(row) for row in batch_rows}) == 2
-    assert len({tuple(row["tags"]) for row in batch_rows}) == 4
     blocks = [batch_rows[i:i + _ROW_BLOCK] for i in range(0, len(batch_rows), _ROW_BLOCK)]
     assert len(blocks) == 3 and all(len({"extras" in row for row in b}) == 2 for b in blocks)
 
@@ -358,7 +362,7 @@ def test_batch_rows_match_json_dumps(batch_rows, precision):
     assert render_json(batch_rows, precision) == _old_render_json(batch_rows, precision)
 
 
-def test_batch_rows_match_the_cell_formatter(batch_rows):
-    tags = {key: tag for row in batch_rows for key, tag in row["tags"].items()}
+def test_batch_rows_match_the_cell_formatter(batch_results, batch_rows):
+    tags = {key: tag for r in batch_results for key, tag in r.tags.items()}
     columns = list(RESULT_FIELDS)
     assert render_csv(batch_rows, columns, tags) == _old_render_csv(batch_rows, columns, tags)

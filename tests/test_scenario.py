@@ -558,6 +558,7 @@ class TestSweep:
         rows = sweep(parse_config(doc), parameter, grid)
         assert len(rows) == len(grid)
         assert len({id(row.tags) for row in rows}) == len(rows)  # no row shares another's tags
+        assert all(row.tags == rows[0].tags for row in rows)  # the CLI writes the first row's
         for value, row in zip(grid, rows):
             assert _field_reprs(row) == _field_reprs(run_scenario(_edited(doc, parameter, value)))
 
@@ -726,6 +727,14 @@ class TestReferenceTable:
 
 
 class TestRendering:
+    def test_result_dict_holds_columns_and_extras(self):
+        # the tags describe columns: they stay on the result, and a document states them once
+        for cfg in (base_config(), dict(base_config(), monte_carlo={"trials": 10_000, "seed": 1})):
+            res = run_scenario(parse_config(cfg))
+            extras = ["extras"] if res.extras else []
+            assert list(result_to_dict(res)) == [*RESULT_FIELDS, *extras]
+        assert res.extras and "qber_mc" in res.tags
+
     def test_json_precision(self):
         res = run_scenario(parse_config(base_config()))
         payload = json.loads(render_json([result_to_dict(res)], precision=3))

@@ -25,7 +25,7 @@ from gravlink import (
     redshift_total,
     shift_parameter,
 )
-from gravlink.spacetime import _log_rate_factor, _tortoise
+from gravlink.spacetime import _tortoise
 
 EARTH = Body(mass=5.972e24, radius=6_371_000.0)
 FLAT = Body(mass=0.0, radius=6_371_000.0)
@@ -288,8 +288,7 @@ def test_swapping_the_stations_reverses_the_link(pair, u_b, motion_a, motion_b):
     body, r_a = pair
     a = Observer(r_a, motion_a)
     b = Observer(body.schwarzschild_radius * math.exp(u_b), motion_b)
-    assert (_log_rate_factor(body, b) - _log_rate_factor(body, a)
-            == -(_log_rate_factor(body, a) - _log_rate_factor(body, b)))
+    assert redshift_total(body, a, b) * redshift_total(body, b, a) == pytest.approx(1.0, rel=5e-15)
     there, back = shift_parameter(body, a, b), shift_parameter(body, b, a)
     if there.delta == 0.0 or back.delta == 0.0:
         assert there == back == ShiftParameter(0.0, Sign.UP)
