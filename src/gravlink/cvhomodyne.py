@@ -6,8 +6,8 @@ distributions by the same factor, so they stay perfectly mode matched
 and the homodyne statistics carry no trace of the curvature.  The
 closed forms live in homodyne_expectation.  The scenario pipeline takes
 the matched signal/LO overlap as exactly 1; curvature_invariance_report
-is its quadrature check, verifying the premise (received overlap stays
-1) and the conclusion (X and V identical across scenarios) numerically.
+checks it by quadrature, its only evidence: X and V agree by construction,
+as homodyne_expectation never sees the modes (see ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -80,15 +80,15 @@ def curvature_invariance_report(
     packet: WavePacket | None = None,
     lo_packet: WavePacket | None = None,
 ) -> list[dict]:
-    """Propagate signal and LO through each scenario and compare X, V.
+    """Propagate signal and LO through each scenario and check them.
 
     With a shared source (lo_packet omitted) the received signal/LO
-    overlap must stay 1 to 1e-12 and the (X, V) pair must be identical
-    across all scenarios, bit for bit; each row reports the scenario
-    index, the rescaling factor chi, the received overlap, X, V and a
-    pass flag.  A deliberately mismatched LO packet drops the overlap
-    below 1; such rows are flagged failing and X, V are withheld (the
-    closed forms assume matched modes).
+    overlap must stay 1 to 1e-12; each row reports the scenario index,
+    the rescaling factor chi, the received overlap, X, V and a pass
+    flag.  The flag's (X, V) comparison holds by construction, since
+    homodyne_expectation(prep) never sees the modes: only the overlap
+    is evidence.  A mismatched LO packet drops the overlap below 1; such
+    rows fail and X, V are withheld (the closed forms assume matched modes).
     """
     if packet is None:
         packet = GaussianPacket(**SOURCE_PRESETS["spdc_blue"])

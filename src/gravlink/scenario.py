@@ -101,8 +101,8 @@ class ScenarioConfig:
 class ScenarioResult:
     """One scenario's numbers.  Fields not produced by the selected
     protocol are None; tags maps every populated field (and extras key)
-    to the formula that produced it; extras carries protocol-specific
-    values that have no column of their own."""
+    to its formula, and is the route's shared table, never written to;
+    extras carries protocol-specific values that have no column."""
 
     chi: float | None
     delta: float | None
@@ -377,6 +377,7 @@ _PROTOCOL_KEYS = {kind: frozenset({*params, "kind"}) for kind, (params, _, _) in
 _CONFIG_KEYS = frozenset({"body", "emitter", "receiver", "source", "protocol", "monte_carlo"})
 
 _QBER_MC_TAG = "empirical fraction of disagreeing sifted bits (seeded)"
+_MC_TAGS = {**_LINK_TAGS["entangle_qkd"], "qber_mc": _QBER_MC_TAG}
 
 _Geometry = tuple[float, float, _ShiftTerms, float]
 
@@ -413,10 +414,10 @@ def _link_result(
               "travel_time_s": travel, "redshift_ratio": ratio}
     values.update(PROTOCOL_TABLE[proto.kind][1](d, q, proto))
     extras = values.pop("extras", {})
-    tags = _LINK_TAGS[proto.kind].copy()
+    tags = _LINK_TAGS[proto.kind]
     if monte_carlo is not None:  # parse_config allows it on entangle_qkd only
         extras["qber_mc"] = entangleswap.qber_monte_carlo(q, monte_carlo.trials, monte_carlo.seed)
-        tags["qber_mc"] = _QBER_MC_TAG
+        tags = _MC_TAGS
     return _result(values, tags, extras)
 
 
@@ -536,8 +537,8 @@ def reference_table() -> list[dict]:
 SWEEP_PARAMETERS = ("width_hz", "peak_hz", "receiver_radius_m", "q")
 
 # Largest accepted sweep grid: a 10^5-point receiver_radius_m sweep
-# prints 33 MB of JSON in 2.2-2.5 s and peaks at 200 MB on a 2-core
-# host (BENCH_23.json), and the cost grows linearly from there.
+# prints 33 MB of JSON in 2.3-3.3 s and peaks at 173 MB on a 2-core
+# host (BENCH_24.json), and the cost grows linearly from there.
 _MAX_GRID_POINTS = 100_000
 
 
@@ -576,7 +577,7 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
             d = math.sqrt(1.0 - fidelity._check_q(value))
             values = {"Delta": d, "q": value, **figures(d, value, proto)}
             extras = values.pop("extras", {})
-            return _result(values, tags.copy(), extras)
+            return _result(values, tags, extras)
     elif parameter == "receiver_radius_m":
         motion = config.receiver.motion.value
 
@@ -606,20 +607,33 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
 
 
 def result_to_dict(result: ScenarioResult) -> dict:
-    """The result's columns, in RESULT_FIELDS order, and its extras when
-    it has any; the tags describe columns and stay on result.tags."""
+    """The result's columns, in RESULT_FIELDS order, and its own extras
+    dict when it has any; the tags describe columns and stay on
+    result.tags."""
     # the instance dict holds RESULT_FIELDS, tags and extras, in that order
     doc = result.__dict__.copy()
     del doc["tags"]
-    extras = doc.pop("extras")
-    if extras:
-        doc["extras"] = dict(extras)
+    if not doc["extras"]:
+        del doc["extras"]
     return doc
 
 
 # Rows per block when render_json and render_csv fill a table: the cell
 # texts of one block are alive at a time.
 _ROW_BLOCK = 1024
+
+
+def _filled(rows, template: str, columns_of_block) -> list[str]:
+    """template % the cell texts of each row, _ROW_BLOCK rows at a time,
+    where columns_of_block(block) lists a block's cell texts column by
+    column."""
+    texts = []
+    for start in range(0, len(rows), _ROW_BLOCK):
+        # transpose lists, not maps: a tuple from a map is built at 10
+        # items and resized, which grows CPython's free list of its final
+        # size; columns_of_block's own transposition follows this rule
+        texts += map(template.__mod__, zip(*columns_of_block(rows[start:start + _ROW_BLOCK])))
+    return texts
 
 
 def _float_column(column, texts_of) -> list[str]:
@@ -635,25 +649,21 @@ def _float_column(column, texts_of) -> list[str]:
     return texts_of(column)
 
 
-def _repr_texts(values) -> list[str]:
-    return list(map(repr, values))
-
-
-def render_json(doc, precision: int | None = None) -> str:
+def render_json(doc, precision: int) -> str:
     """JSON text with a two-space indent; floats rounded to `precision`
-    significant digits when given (pass None or 17 for full round-trip
-    fidelity).  JSON has no Infinity, so +-inf is written as null, which
-    marks an unbounded value; so is a finite value that rounding carries
-    past the largest float.
+    significant digits, 1 to 17 (at 17 every float reads as its repr).
+    JSON has no Infinity, so +-inf is written as null, which marks an
+    unbounded value; so is a finite value that rounding carries past the
+    largest float.
 
     The text is byte for byte json.dumps(doc, indent=2) + "\n" of the
-    rounded document with every infinity replaced by None, and a value
-    json cannot encode raises json's own error.  One column writer
-    writes it.  Every list is a column of values, and every dict is a
-    row of a table: the dicts of a column are grouped by key order, and
-    each group is written _ROW_BLOCK rows at a time, column by column,
-    each row filling one % template of the key texts, and a lone dict is
-    a one-row table.
+    rounded document with every infinity replaced by None.  Keys are
+    str: any other key raises TypeError, and a value json cannot encode
+    raises json's own error.  One column writer writes it.  Every list
+    is a column of values, and every dict is a row of a table: the dicts
+    of a column are grouped by key order, and each group is filled by
+    _filled into one % template of the key texts; a lone dict is a
+    one-row table.
 
     number() is the one float rule.  A column of floats is formatted in
     one % call at precisions up to 15, and a column of one repeated
@@ -667,7 +677,7 @@ def render_json(doc, precision: int | None = None) -> str:
     spec = f".{precision}g"
 
     def number(v) -> str:
-        return parsed(float_repr(v) if precision is None else format(v, spec))
+        return parsed(format(v, spec))
 
     def parsed(text: str) -> str:
         # repr's text of the float that text reads as: null for +-inf, which
@@ -676,9 +686,7 @@ def render_json(doc, precision: int | None = None) -> str:
         return float_repr(v) if math.isfinite(v) else "NaN" if v != v else "null"
 
     def float_texts(values) -> list[str]:
-        if precision is None and math.isfinite(sum(values)):  # no inf or nan
-            return _repr_texts(values)
-        if precision is None or precision > 15:
+        if precision > 15:
             return list(map(number, values))
         # Up to 15 significant digits a decimal survives the round trip
         # through a normal double, so format's digits are repr's and only
@@ -694,13 +702,6 @@ def render_json(doc, precision: int | None = None) -> str:
             else parsed(text)  # number(v), without formatting v again
             for v, text in zip(values, texts)
         ]
-
-    def key(k) -> str:
-        if isinstance(k, str):
-            return string(k)
-        # json's own coercion of int, float, bool and None keys, and its
-        # TypeError for any other key
-        return json.dumps({k: None})[1:-7]
 
     def value(v, indent: str) -> str:
         if v is None:
@@ -758,19 +759,10 @@ def render_json(doc, precision: int | None = None) -> str:
         # dicts share the key order keys
         if not keys:
             return ["{}"] * len(dicts)
-        if len(dicts) > 1 and {*map(type, keys)} != {str}:
-            # 1, 1.0 and True are equal keys with different texts
-            return [table((d,), tuple(d), indent)[0] for d in dicts]
         inner = indent + "  "
-        template = "{" + ",".join(inner + key(k).replace("%", "%%") + ": %s" for k in keys) + indent + "}"
-        texts = []
-        for start in range(0, len(dicts), _ROW_BLOCK):
-            block = dicts[start:start + _ROW_BLOCK]
-            # tuples from lists: one from a map is built at 10 items and
-            # resized, which grows CPython's free list of its final size
-            columns = [column(c, inner) for c in zip(*[d.values() for d in block])]
-            texts += map(template.__mod__, zip(*columns))
-        return texts
+        template = "{" + ",".join(inner + string(k).replace("%", "%%") + ": %s" for k in keys) + indent + "}"
+        return _filled(dicts, template,
+                       lambda block: [column(c, inner) for c in zip(*[d.values() for d in block])])
 
     return value(doc, "\n") + "\n"
 
@@ -791,9 +783,9 @@ def _csv_cell(value) -> str:
 def render_csv(rows: list[dict], columns: list[str], tags: dict | None = None) -> str:
     """CSV with shortest round-trip floats.
 
-    The header row carries exactly the given column names; formula tags,
-    if any, go above it as # comment lines so the table body stays
-    machine-clean.
+    The header row carries exactly the given column names, at least
+    one; formula tags, if any, go above it as # comment lines so the
+    table body stays machine-clean.
     """
     if not rows:
         return ""
@@ -805,17 +797,11 @@ def render_csv(rows: list[dict], columns: list[str], tags: dict | None = None) -
         for key in sorted(set(tags) - set(columns)):
             lines.append(f"# {key}: {tags[key]}")
     lines.append(",".join(columns))
-    # column by column, _ROW_BLOCK rows at a time
-    fill = ",".join(["%s"] * len(columns)).__mod__
-    for start in range(0, len(rows), _ROW_BLOCK):
-        block = rows[start:start + _ROW_BLOCK]
-        cells = [
-            _float_column(column, _repr_texts)
-            if {*map(type, column)} == {float}
-            else list(map(_csv_cell, column))
-            for column in ([row.get(name) for row in block] for name in columns)
-        ]
-        # with no columns, every row is an empty line
-        lines.extend(map(fill, zip(*cells)) if cells else [""] * len(block))
+    lines += _filled(rows, ",".join(["%s"] * len(columns)), lambda block: [
+        _float_column(column, lambda floats: list(map(repr, floats)))
+        if {*map(type, column)} == {float}
+        else list(map(_csv_cell, column))
+        for column in ([row.get(name) for row in block] for name in columns)
+    ])
     return "\n".join(lines) + "\n"
 

@@ -113,7 +113,7 @@ _TAGS = st.sampled_from([
     {"q": "q = 1 - Delta^2", "chi": "chi = 1/redshift_ratio"},
     {"x": 'X = 2 Re(alpha "conj" beta)', "é": "\\"},
 ])
-_KEYS = _STRINGS | st.sampled_from(list(Verdict)) | st.integers(-5, 5) | _FLOATS | st.booleans() | st.none()
+_KEYS = _STRINGS | st.sampled_from(list(Verdict))
 _DOCS = st.recursive(
     _SCALARS | _TAGS | st.just({}) | st.just([]) | st.just(()),
     lambda children: (
@@ -123,7 +123,8 @@ _DOCS = st.recursive(
     ),
     max_leaves=30,
 )
-_PRECISIONS = st.none() | st.integers(1, 17)
+# at 17 digits every float reads back as itself, as repr writes it
+_PRECISIONS = st.integers(1, 17)
 
 
 @given(_DOCS, _PRECISIONS)
@@ -132,7 +133,7 @@ def test_render_json_matches_json_dumps(doc, precision):
     assert render_json(doc, precision) == _old_render_json(doc, precision)
 
 
-@pytest.mark.parametrize("precision", [None, *range(1, 18)])
+@pytest.mark.parametrize("precision", range(1, 18))
 def test_render_json_edge_floats_at_every_precision(precision):
     doc = {
         "rows": [
@@ -163,15 +164,13 @@ _NAMED_FLOATS = {
     # texts that parse back past the largest float at some precisions
     "near-max-float": [1.7976931348623157e308, -1.7976931348623157e308, 1.79769313486e308,
                        math.nextafter(1.7976931348623157e308, 0.0), 1.7976931348623e308, 9.9e307],
-    # equal keys with different texts, in one column of dicts
-    "equal-keys": [{1: 1.0}, {True: 1.0}, {1.0: 1.0}, {0: -0.0}, {False: 0.0}, {-0.0: 0.0}, {0.0: 0.0}],
 }
 
 
 @pytest.mark.parametrize("name", sorted(_NAMED_FLOATS))
 def test_render_json_named_edge_floats(name):
     values = _NAMED_FLOATS[name]
-    for precision in (None, *range(1, 18)):
+    for precision in range(1, 18):
         assert render_json(values, precision) == _old_render_json(values, precision), precision
 
 
@@ -197,14 +196,22 @@ def test_render_json_float_texts(value, precision, text):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"a": [1.0, object()]}, [1.0 + 2.0j], {"k": np.float32(1.0)}, {(1, 2): 1.0}, {"n": 10**5000}],
-    ids=["object", "complex", "float32", "tuple-key", "huge-int"],
+    [{"a": [1.0, object()]}, [1.0 + 2.0j], {"k": np.float32(1.0)}, {"n": 10**5000}],
+    ids=["object", "complex", "float32", "huge-int"],
 )
 def test_render_json_errors_are_json_errors(doc):
     with pytest.raises((TypeError, ValueError)) as old:
         _old_render_json(doc, 12)
     with pytest.raises(old.type, match="^" + re.escape(str(old.value)) + "$"):
         render_json(doc, 12)
+
+
+@pytest.mark.parametrize("doc", [{1: 1.0}, [{"a": 1.0}, {(1, 2): 1.0}]], ids=["int", "tuple"])
+def test_render_json_keys_are_str(doc):
+    with pytest.raises(TypeError):
+        render_json(doc, 12)
+    with pytest.raises(TypeError):
+        render_json({"a": 1.0})  # no precision
 
 
 _CELLS = _SCALARS | st.sampled_from(["1,2", '"', 'a "b"', ",", "x\ny"])
@@ -303,7 +310,7 @@ def test_sweeps_past_the_row_block_match_the_oracles(parameter):
     grid = _SWEEP_GRIDS[parameter]
     results = sweep(config, parameter, grid)
     doc = {"parameter": parameter, "grid": grid, "rows": [result_to_dict(r) for r in results]}
-    for precision in (None, 12, 15):
+    for precision in (12, 15, 17):
         assert render_json(doc, precision) == _old_render_json(doc, precision), precision
     table = [{name: getattr(r, name) for name in RESULT_FIELDS} for r in results]
     tags = {key: tag for r in results for key, tag in r.tags.items()}
@@ -357,7 +364,7 @@ def test_batch_rows_interleave_their_shapes(batch_rows):
     assert len(blocks) == 3 and all(len({"extras" in row for row in b}) == 2 for b in blocks)
 
 
-@pytest.mark.parametrize("precision", [None, 12, 15, 17])
+@pytest.mark.parametrize("precision", [12, 15, 17])
 def test_batch_rows_match_json_dumps(batch_rows, precision):
     assert render_json(batch_rows, precision) == _old_render_json(batch_rows, precision)
 

@@ -29,6 +29,7 @@ from gravlink import (
 )
 from gravlink.scenario import (
     RESULT_FIELDS,
+    _LINK_TAGS,
     parse_config,
     render_csv,
     render_json,
@@ -557,10 +558,18 @@ class TestSweep:
         doc = dict(base_config(), protocol=protocol)
         rows = sweep(parse_config(doc), parameter, grid)
         assert len(rows) == len(grid)
-        assert len({id(row.tags) for row in rows}) == len(rows)  # no row shares another's tags
-        assert all(row.tags == rows[0].tags for row in rows)  # the CLI writes the first row's
+        # one tag table per route, shared by every row and run, never copied
+        tags = _LINK_TAGS[protocol["kind"]]
+        assert all(row.tags is tags for row in rows)  # the CLI writes the first row's
         for value, row in zip(grid, rows):
-            assert _field_reprs(row) == _field_reprs(run_scenario(_edited(doc, parameter, value)))
+            run = run_scenario(_edited(doc, parameter, value))
+            assert run.tags is tags
+            assert _field_reprs(row) == _field_reprs(run)
+        if protocol["kind"] == "entangle_qkd":
+            mc = dict(doc, monte_carlo={"trials": 10_000, "seed": 3})
+            first, second = (run_scenario(_edited(mc, parameter, value)) for value in grid[:2])
+            assert first.tags is second.tags and first.tags["qber_mc"]
+            assert all(row.tags is tags for row in sweep(parse_config(mc), parameter, grid))
 
     @given(
         st.sampled_from(["width_hz", "peak_hz"]),
@@ -733,6 +742,7 @@ class TestRendering:
             res = run_scenario(parse_config(cfg))
             extras = ["extras"] if res.extras else []
             assert list(result_to_dict(res)) == [*RESULT_FIELDS, *extras]
+        assert result_to_dict(res)["extras"] is res.extras  # the result's own, not a copy
         assert res.extras and "qber_mc" in res.tags
 
     def test_json_precision(self):
