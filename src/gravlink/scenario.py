@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import entangleswap, fidelity
 from .cvhomodyne import HomodynePrep, homodyne_expectation
@@ -29,6 +29,7 @@ from .spacetime import (
     coordinate_travel_time,
 )
 from .wavepacket import (
+    NARROWBAND_RATIO,
     SOURCE_PRESETS,
     GaussianPacket,
     _overlap_at_ratio,
@@ -73,22 +74,19 @@ STATION_PRESETS: dict[str, dict] = {
 _MOTIONS = {motion.value: motion for motion in Motion}
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(NamedTuple):
     kind: str
     alpha: float | None = None
     s: float | None = None
     beta: float | None = None
 
 
-@dataclass(frozen=True)
-class MonteCarloSpec:
+class MonteCarloSpec(NamedTuple):
     trials: int
     seed: int
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     body: Body
     emitter: Observer
     receiver: Observer
@@ -97,46 +95,32 @@ class ScenarioConfig:
     monte_carlo: MonteCarloSpec | None = None
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+# the extras of every result that has none (and the tags of one built
+# without any), shared by all of them and never written to
+_EMPTY: dict = {}
+
+
+class ScenarioResult(NamedTuple):
     """One scenario's numbers.  Fields not produced by the selected
     protocol are None; tags maps every populated field (and extras key)
     to its formula, and is the route's shared table, never written to;
     extras carries protocol-specific values that have no column."""
 
-    chi: float | None
-    delta: float | None
-    Delta: float | None
-    q: float | None
-    fidelity: float | None
-    negativity: float | None
-    qber: float | None
-    travel_time_s: float | None
-    redshift_ratio: float | None
-    tags: dict[str, str] = field(default_factory=dict)
-    extras: dict[str, float] = field(default_factory=dict)
+    chi: float | None = None
+    delta: float | None = None
+    Delta: float | None = None
+    q: float | None = None
+    fidelity: float | None = None
+    negativity: float | None = None
+    qber: float | None = None
+    travel_time_s: float | None = None
+    redshift_ratio: float | None = None
+    tags: dict[str, str] = _EMPTY
+    extras: dict[str, float] = _EMPTY
 
 
-# the reported quantities, in output column order
-RESULT_FIELDS = tuple(f.name for f in fields(ScenarioResult) if f.name not in ("tags", "extras"))
-_NO_VALUES = dict.fromkeys(RESULT_FIELDS)
-
-
-def _result(values: dict, tags: dict, extras: dict) -> ScenarioResult:
-    """The ScenarioResult with these values, None in every other
-    RESULT_FIELDS column, set without the frozen __init__'s per-field
-    object.__setattr__ calls, which cost more than a sweep point's
-    arithmetic."""
-    result = object.__new__(ScenarioResult)
-    attributes = result.__dict__
-    # an update into an empty dict would copy the whole table of fields,
-    # and the instance dict would stop sharing its keys (3x the memory)
-    attributes["chi"] = None
-    attributes.update(_NO_VALUES)
-    attributes.update(values)
-    attributes["tags"] = tags
-    attributes["extras"] = extras
-    return result
+# the reported quantities, in output column order: every field but tags and extras
+RESULT_FIELDS = ScenarioResult._fields[:-2]
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +394,13 @@ def _link_result(
     here."""
     ratio, travel, terms, _ = geometry
     d, q = _overlap_at_ratio(terms, peak / width)
-    values = {"chi": 1.0 / ratio, "delta": terms[0], "Delta": d, "q": q,
-              "travel_time_s": travel, "redshift_ratio": ratio}
-    values.update(PROTOCOL_TABLE[proto.kind][1](d, q, proto))
-    extras = values.pop("extras", {})
+    figures = PROTOCOL_TABLE[proto.kind][1](d, q, proto)
     tags = _LINK_TAGS[proto.kind]
-    if monte_carlo is not None:  # parse_config allows it on entangle_qkd only
-        extras["qber_mc"] = entangleswap.qber_monte_carlo(q, monte_carlo.trials, monte_carlo.seed)
+    if monte_carlo is not None:  # parse_config allows it on entangle_qkd only, which has no extras
+        figures["extras"] = {"qber_mc": entangleswap.qber_monte_carlo(q, monte_carlo.trials, monte_carlo.seed)}
         tags = _MC_TAGS
-    return _result(values, tags, extras)
+    return ScenarioResult(1.0 / ratio, terms[0], d, q, travel_time_s=travel, redshift_ratio=ratio,
+                          tags=tags, **figures)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -537,8 +519,8 @@ def reference_table() -> list[dict]:
 SWEEP_PARAMETERS = ("width_hz", "peak_hz", "receiver_radius_m", "q")
 
 # Largest accepted sweep grid: a 10^5-point receiver_radius_m sweep
-# prints 33 MB of JSON in 2.3-3.3 s and peaks at 173 MB on a 2-core
-# host (BENCH_24.json), and the cost grows linearly from there.
+# prints 33 MB of JSON in 2.8-3.2 s and peaks at 167 MB on a 2-core
+# host (BENCH_25.json), and the cost grows linearly from there.
 _MAX_GRID_POINTS = 100_000
 
 
@@ -575,9 +557,7 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
 
         def point(value):
             d = math.sqrt(1.0 - fidelity._check_q(value))
-            values = {"Delta": d, "q": value, **figures(d, value, proto)}
-            extras = values.pop("extras", {})
-            return _result(values, tags, extras)
+            return ScenarioResult(Delta=d, q=value, **figures(d, value, proto), tags=tags)
     elif parameter == "receiver_radius_m":
         motion = config.receiver.motion.value
 
@@ -589,7 +569,7 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
 
         def point(value):
             p, w = (value, width) if parameter == "peak_hz" else (peak, value)
-            if not (0.0 < p < math.inf and 0.0 < w < math.inf and p / w > 100.0):
+            if not (0.0 < p < math.inf and 0.0 < w < math.inf and p / w > NARROWBAND_RATIO):
                 _parse_source({"peak_hz": p, "width_hz": w})  # raises this point's error
             return _link_result(geometry, p, w, proto)
 
@@ -610,11 +590,9 @@ def result_to_dict(result: ScenarioResult) -> dict:
     """The result's columns, in RESULT_FIELDS order, and its own extras
     dict when it has any; the tags describe columns and stay on
     result.tags."""
-    # the instance dict holds RESULT_FIELDS, tags and extras, in that order
-    doc = result.__dict__.copy()
-    del doc["tags"]
-    if not doc["extras"]:
-        del doc["extras"]
+    doc = dict(zip(RESULT_FIELDS, result))
+    if result.extras:
+        doc["extras"] = result.extras
     return doc
 
 

@@ -28,6 +28,10 @@ if TYPE_CHECKING:
 # mass beyond 15 sigma is ~5e-51, far below every tolerance used here.
 SUPPORT_SIGMAS = 15.0
 
+# A Gaussian source's peak_hz/width_hz must exceed this (the narrowband
+# regime; see GaussianPacket)
+NARROWBAND_RATIO = 100.0
+
 # tabulate's sampling density: keeps trapezoid aliasing error below 1e-30
 _POINTS_PER_WIDTH = 8
 
@@ -101,9 +105,9 @@ class GaussianPacket:
             raise ValueError(f"width_hz must be > 0, got {self.width_hz}")
         if not (self.peak_hz > 0.0):
             raise ValueError(f"peak_hz must be > 0, got {self.peak_hz}")
-        if not (self.peak_hz / self.width_hz > 100.0):
+        if not (self.peak_hz / self.width_hz > NARROWBAND_RATIO):
             raise ValueError(
-                "peak_hz/width_hz must exceed 100 (narrowband regime);"
+                f"peak_hz/width_hz must exceed {NARROWBAND_RATIO:g} (narrowband regime);"
                 f" got {self.peak_hz / self.width_hz}"
             )
 

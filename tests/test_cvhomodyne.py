@@ -113,6 +113,19 @@ def test_invariance_with_other_sources():
     assert len({(row["x"], row["v"]) for row in rows}) == 1
 
 
+def test_nan_quadrature_passes_on_the_overlap_alone():
+    # alpha conj(beta) = 1e600 - 1e600 + ...: X is NaN on every link, and
+    # the flag rests on the overlap, not on comparing X with a first row;
+    # the links are cv-homodyne's three
+    prep = HomodynePrep(alpha=1e300 + 1e300j, beta=1e300 - 1e300j)
+    rows = curvature_invariance_report(prep, [(FLAT, GROUND, ISS), (EARTH, GROUND, ISS), (EARTH, GROUND, FAR)])
+    for row in rows:
+        assert abs(row["overlap"] - 1.0) <= 1e-12
+        assert math.isnan(row["x"])
+        assert row["v"] == math.inf
+        assert row["pass"]
+
+
 def test_mismatched_lo_is_refused():
     rows = curvature_invariance_report(
         HomodynePrep(alpha=0.5, beta=90.0),

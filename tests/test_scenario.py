@@ -3,7 +3,6 @@ sweeps, rendering, and the reference comparison table."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -533,6 +532,21 @@ class TestSweep:
         with pytest.raises(ConfigError, match=message):
             sweep(parse_config(base_config()), parameter, [valid, math.inf])
 
+    def test_narrowband_boundary_is_one_rule(self):
+        # exactly 100 widths gets one message from a config and from a
+        # width_hz sweep point, and the next float above passes both
+        message = "source: peak_hz/width_hz must exceed 100 (narrowband regime); got 100.0"
+        with pytest.raises(ConfigError) as from_config:
+            parse_config(dict(base_config(), source={"peak_hz": 100.0, "width_hz": 1.0}))
+        assert str(from_config.value) == message
+        sc = parse_config(dict(base_config(), source={"peak_hz": 100.0, "width_hz": 0.5}))
+        with pytest.raises(ConfigError) as from_sweep:
+            sweep(sc, "width_hz", [1.0])
+        assert str(from_sweep.value) == "sweep.grid[0]: " + message
+        above = math.nextafter(100.0, math.inf)
+        sc = parse_config(dict(base_config(), source={"peak_hz": above, "width_hz": 1.0}))
+        assert sweep(sc, "width_hz", [1.0]) == [run_scenario(sc)]
+
     def test_grid_point_maximum(self):
         sc = parse_config(base_config())
         with pytest.raises(ConfigError, match=r"^sweep\.grid: at most 100000 points, got 100001$"):
@@ -679,7 +693,24 @@ def _edited(doc: dict, parameter: str, value: float):
 
 def _field_reprs(result) -> dict:
     # repr tells -0.0 from 0.0, which == does not
-    return {f.name: repr(getattr(result, f.name)) for f in dataclasses.fields(result)}
+    return {name: repr(getattr(result, name)) for name in result._fields}
+
+
+class TestRecords:
+    def test_results_and_configs_are_immutable(self):
+        sc = parse_config(base_config())
+        res = run_scenario(sc)
+        with pytest.raises(AttributeError):
+            res.q = 0.0
+        with pytest.raises(AttributeError):
+            sc.source = None
+
+    @pytest.mark.parametrize("parameter, grid", [("width_hz", [1e6, 1e7, 1e8]), ("q", [0.0, 0.5])])
+    def test_results_without_extras_share_one_extras(self, parameter, grid):
+        rows = sweep(parse_config(base_config()), parameter, grid)
+        assert len({id(row.extras) for row in rows}) == 1
+        assert rows[0].extras == {} and rows[0].extras is run_scenario(parse_config(base_config())).extras
+        assert "extras" not in result_to_dict(rows[0])
 
 
 class TestReferenceTable:
