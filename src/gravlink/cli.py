@@ -18,7 +18,6 @@ import warnings
 
 from . import entangleswap
 from .cvhomodyne import HomodynePrep, curvature_invariance_report
-from .fidelity import _check_q
 from .scenario import (
     BODY_PRESETS,
     PROTOCOL_TABLE,
@@ -166,10 +165,9 @@ def _flag_doc(preset, path: str, **flags):
     return preset if preset is not None else given
 
 
-# the flags that _link and _source read
-_GEOMETRY_FLAGS = ("body", "mass_kg", "body_radius_m", "emitter_radius_m", "receiver",
-                   "receiver_radius_m", "receiver_motion")
-_SOURCE_FLAGS = ("source", "peak_hz", "width_hz")
+# the flags that _link and _source read: every flag of their groups
+_GEOMETRY_FLAGS = tuple(action.dest for action in _geometry_parent()._actions)
+_SOURCE_FLAGS = tuple(action.dest for action in _source_parent()._actions)
 
 
 def _reject_unread(args, dests: tuple[str, ...], reason: str) -> None:
@@ -278,7 +276,7 @@ def _cmd_entangle(args) -> int:
 
     if args.q is not None:
         _reject_unread(args, _GEOMETRY_FLAGS + _SOURCE_FLAGS, "--q replaces the geometry and the source")
-        q = _check_q(args.q)
+        q = args.q  # build_initial_state applies q's rule
     else:
         _, _, terms, _ = _link_geometry(*_link(args, " (or --q)"))
         packet = _source(args)
@@ -309,14 +307,13 @@ def _cmd_entangle(args) -> int:
 
 
 def _cmd_qber(args) -> int:
-    q = _check_q(args.q)
-    row = {"q": q, "qber": entangleswap.qber_closed(q)}
+    row = {"q": args.q, "qber": entangleswap.qber_closed(args.q)}  # applies q's rule
     if args.trials is None:
         _reject_unread(args, ("seed",), "--seed needs --trials")
     else:
         seed = 12345 if args.seed is None else args.seed
         spec = _parse_monte_carlo({"trials": args.trials, "seed": seed})
-        row["qber_mc"] = entangleswap.qber_monte_carlo(q, spec.trials, spec.seed)
+        row["qber_mc"] = entangleswap.qber_monte_carlo(args.q, spec.trials, spec.seed)
         row["trials"] = spec.trials
         row["seed"] = spec.seed
     _emit(args, [row])

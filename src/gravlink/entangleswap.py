@@ -279,6 +279,21 @@ def qber_closed(q: float) -> float:
     return bit_probabilities(q)[1]
 
 
+# qber_monte_carlo's trial range: fewer give no meaningful rate, and the
+# sampler runs at about 9 ns per trial, so the most is about a second
+_MIN_TRIALS = 10_000
+_MAX_TRIALS = 10**8
+
+
+def _check_trials(trials) -> int:
+    """trials, an int or a whole float, checked against its domain, as an int."""
+    if not (trials >= _MIN_TRIALS and trials % 1 == 0):  # inf % 1 is NaN
+        raise ValueError(f"trials: must be an integer >= {_MIN_TRIALS}, got {trials!r}")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"trials: must be <= {_MAX_TRIALS}, got {trials!r}")
+    return int(trials)
+
+
 def qber_monte_carlo(q: float, trials: int, seed: int) -> float:
     """Stochastic QBER estimate, the independent check on qber_closed.
 
@@ -288,8 +303,7 @@ def qber_monte_carlo(q: float, trials: int, seed: int) -> float:
     fixed answer.
     """
     _check_q(q)
-    if trials < 10_000:
-        raise ValueError(f"need at least 1e4 trials for a meaningful rate, got {trials}")
+    trials = _check_trials(trials)
     import numpy as np
 
     rng = np.random.default_rng(seed)

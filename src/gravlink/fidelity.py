@@ -69,8 +69,8 @@ def tmss_fidelity(delta: complex | float, s: float) -> float:
     doubles near s = 355).  For any Delta < 1 the fidelity decays to
     zero as squeezing grows.
     """
-    if s < 0.0:
-        raise ValueError(f"squeezing strength s must be >= 0, got {s}")
+    if not s >= 0.0:
+        raise ValueError(f"s: must be >= 0, got {s}")
     d = _check_delta(delta)
     if d == 1.0:
         return 1.0

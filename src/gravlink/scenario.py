@@ -11,6 +11,7 @@ verdicts; sweep produces plot-ready rows over one parameter.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from json.encoder import encode_basestring_ascii
@@ -29,12 +30,12 @@ from .spacetime import (
     coordinate_travel_time,
 )
 from .wavepacket import (
-    NARROWBAND_RATIO,
     SOURCE_PRESETS,
     GaussianPacket,
     _overlap_at_ratio,
     _scale_terms,
     _ShiftTerms,
+    _source_ratio,
 )
 
 __all__ = [
@@ -133,12 +134,6 @@ def _require_mapping(doc, path: str) -> dict:
     return doc
 
 
-def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
-    if not allowed.issuperset(doc):
-        unknown = sorted(set(doc) - allowed)
-        raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)}")
-
-
 def _number(doc: dict, key: str, path: str) -> float:
     if key not in doc:
         raise ConfigError(f"{path}.{key}: missing")
@@ -156,11 +151,21 @@ def _number(doc: dict, key: str, path: str) -> float:
     return num
 
 
-def _positive(doc: dict, key: str, path: str) -> float:
+def _count(doc: dict, key: str, path: str) -> int:
     val = _number(doc, key, path)
-    if not (0.0 < val < math.inf):
-        raise ConfigError(f"{path}.{key}: must be finite and > 0, got {val}")
-    return val
+    if not (val.is_integer() and val >= 0):
+        raise ConfigError(f"{path}.{key}: must be an integer >= 0, got {doc[key]!r}")
+    # an int above 2**53 keeps its exact value, not its float rounding
+    return doc[key] if isinstance(doc[key], int) else int(val)
+
+
+def _ruled(path: str, rule, *args, keys: dict[str, str] = _EMPTY):
+    """rule(*args); its ValueError "name: text" becomes the ConfigError "path.key: text"."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        name, _, text = str(exc).partition(": ")
+        raise ConfigError(f"{path}.{keys.get(name, name)}: {text}") from None
 
 
 def _mapping(doc, allowed, path: str, presets: dict | None = None) -> dict:
@@ -171,16 +176,15 @@ def _mapping(doc, allowed, path: str, presets: dict | None = None) -> dict:
             raise ConfigError(f"{path}: unknown preset {doc!r} (have {sorted(presets)})")
         doc = presets[doc]
     doc = _require_mapping(doc, path)
-    _reject_unknown(doc, allowed, path)
+    if not allowed.issuperset(doc):
+        raise ConfigError(f"{path}: unknown key(s) {', '.join(sorted(set(doc) - allowed))}")
     return doc
 
 
 def _parse_body(doc, path: str = "body") -> Body:
     doc = _mapping(doc, {"mass_kg", "radius_m"}, path, BODY_PRESETS)
-    mass = _number(doc, "mass_kg", path)
-    if not (0.0 <= mass < math.inf):
-        raise ConfigError(f"{path}.mass_kg: must be finite and >= 0, got {mass}")
-    return Body(mass=mass, radius=_positive(doc, "radius_m", path))
+    return _ruled(path, Body, _number(doc, "mass_kg", path), _number(doc, "radius_m", path),
+                  keys={"mass": "mass_kg", "radius": "radius_m"})
 
 
 def _parse_station(body: Body, doc, path: str) -> Observer:
@@ -207,52 +211,32 @@ def _parse_station(body: Body, doc, path: str) -> Observer:
 
 def _parse_source(doc, path: str = "source") -> GaussianPacket:
     doc = _mapping(doc, {"peak_hz", "width_hz"}, path, SOURCE_PRESETS)
-    peak = _positive(doc, "peak_hz", path)
-    width = _positive(doc, "width_hz", path)
-    try:
-        return GaussianPacket(peak_hz=peak, width_hz=width)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _ruled(path, GaussianPacket, _number(doc, "peak_hz", path), _number(doc, "width_hz", path))
 
 
 def _parse_protocol(doc, path: str = "protocol") -> Protocol:
     if isinstance(doc, str):
         doc = {"kind": doc}
-    doc = _require_mapping(doc, path)
-    kind = doc.get("kind")
+    kind = _require_mapping(doc, path).get("kind")
     if not isinstance(kind, str) or kind not in PROTOCOL_TABLE:
         raise ConfigError(f"{path}.kind: expected one of {tuple(PROTOCOL_TABLE)}, got {kind!r}")
-    params = PROTOCOL_TABLE[kind][0]
-    _reject_unknown(doc, _PROTOCOL_KEYS[kind], path)
+    doc = _mapping(doc, _PROTOCOL_KEYS[kind], path)
     values = {}
-    for name in params:
+    for name in PROTOCOL_TABLE[kind][0]:
         values[name] = _number(doc, name, path)
         if math.isinf(values[name]):
             raise ConfigError(f"{path}.{name}: must be finite, got {values[name]}")
-    if kind == "tmss" and values["s"] < 0.0:
-        raise ConfigError(f"{path}.s: must be >= 0, got {values['s']}")
-    return Protocol(kind=kind, **values)
-
-
-def _count(doc: dict, key: str, path: str, minimum: int) -> int:
-    val = _number(doc, key, path)
-    if not (val.is_integer() and val >= minimum):
-        raise ConfigError(f"{path}.{key}: must be an integer >= {minimum}, got {doc[key]!r}")
-    # an int above 2**53 keeps its exact value, not its float rounding
-    return doc[key] if isinstance(doc[key], int) else int(val)
-
-
-# Largest accepted monte_carlo.trials: the sampler runs at about 9 ns per
-# trial, so this is about a second of sampling.
-_MAX_TRIALS = 10**8
+    protocol = Protocol(kind=kind, **values)
+    # a matched mode's figures (Delta = 1, q = 0) apply the library's parameter rules
+    _ruled(path, PROTOCOL_TABLE[kind][1], 1.0, 0.0, protocol)
+    return protocol
 
 
 def _parse_monte_carlo(doc, path: str = "monte_carlo") -> MonteCarloSpec:
     doc = _mapping(doc, {"trials", "seed"}, path)
-    trials = _count(doc, "trials", path, minimum=10_000)
-    if trials > _MAX_TRIALS:
-        raise ConfigError(f"{path}.trials: must be <= {_MAX_TRIALS}, got {doc['trials']!r}")
-    return MonteCarloSpec(trials=trials, seed=_count(doc, "seed", path, minimum=0))
+    _number(doc, "trials", path)  # the trial rule reads the number as written
+    trials = _ruled(path, entangleswap._check_trials, doc["trials"])
+    return MonteCarloSpec(trials=trials, seed=_count(doc, "seed", path))
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
@@ -299,16 +283,18 @@ _GEOMETRY_TAGS = {
 }
 
 
-def _homodyne_figures(d: float, q: float, p: Protocol) -> dict:
-    hom = homodyne_expectation(HomodynePrep(alpha=p.alpha, beta=p.beta))
-    return {"fidelity": 1.0, "extras": {"x": hom.x, "v": hom.v, "exact_v": hom.exact_v}}
+# one extras dict per protocol, shared by a sweep's points and never written to
+@functools.lru_cache(maxsize=1)
+def _homodyne_extras(alpha: float, beta: float) -> dict:
+    hom = homodyne_expectation(HomodynePrep(alpha=alpha, beta=beta))
+    return {"x": hom.x, "v": hom.v, "exact_v": hom.exact_v}
 
 
 # The protocol kinds, in the order config errors list them, each with its
 # parameter names (sorted), its figures of merit as (Delta, q, protocol) ->
-# values, and the tag of each value.  Entries look fidelity.*,
-# entangleswap.* and homodyne_expectation up at call time, so rebinding
-# those module attributes reaches every caller.
+# values, and the tag of each value.  Entries look fidelity.* and
+# entangleswap.* up at call time, and homodyne_expectation once per
+# protocol, so rebinding those module attributes reaches later callers.
 PROTOCOL_TABLE = {
     "single_photon": (
         (),
@@ -343,7 +329,7 @@ PROTOCOL_TABLE = {
     # exactly, whatever the link does to the signal alone.
     "cv_homodyne": (
         ("alpha", "beta"),
-        _homodyne_figures,
+        lambda d, q, p: {"fidelity": 1.0, "extras": _homodyne_extras(p.alpha, p.beta)},
         {
             "fidelity": "received signal/LO mode overlap (1: homodyne unaffected)",
             "x": "X = 2 Re(alpha conj(beta))",
@@ -384,16 +370,15 @@ def _link_geometry(body: Body, emitter: Observer, receiver: Observer) -> _Geomet
 
 def _link_result(
     geometry: _Geometry,
-    peak: float,
-    width: float,
+    source_ratio: float,
     proto: Protocol,
     monte_carlo: MonteCarloSpec | None = None,
 ) -> ScenarioResult:
-    """A source of this peak and width over a link of known geometry:
+    """A source of this peak/width ratio over a link of known geometry:
     overlap -> protocol.  Every link row, run or sweep point, is built
     here."""
     ratio, travel, terms, _ = geometry
-    d, q = _overlap_at_ratio(terms, peak / width)
+    d, q = _overlap_at_ratio(terms, source_ratio)
     figures = PROTOCOL_TABLE[proto.kind][1](d, q, proto)
     tags = _LINK_TAGS[proto.kind]
     if monte_carlo is not None:  # parse_config allows it on entangle_qkd only, which has no extras
@@ -406,10 +391,8 @@ def _link_result(
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Chain geometry -> overlap -> protocol for one configuration."""
     geometry = _link_geometry(config.body, config.emitter, config.receiver)
-    source = config.source
-    return _link_result(
-        geometry, source.peak_hz, source.width_hz, config.protocol, config.monte_carlo
-    )
+    ratio = config.source.peak_hz / config.source.width_hz
+    return _link_result(geometry, ratio, config.protocol, config.monte_carlo)
 
 
 # ---------------------------------------------------------------------------
@@ -563,15 +546,17 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
 
         def point(value):
             receiver = _parse_station(body, {"radius_m": value, "motion": motion}, "receiver")
-            return _link_result(_link_geometry(body, emitter, receiver), peak, width, proto)
+            return _link_result(_link_geometry(body, emitter, receiver), peak / width, proto)
     else:
         geometry = _link_geometry(body, emitter, config.receiver)
 
         def point(value):
             p, w = (value, width) if parameter == "peak_hz" else (peak, value)
-            if not (0.0 < p < math.inf and 0.0 < w < math.inf and p / w > NARROWBAND_RATIO):
-                _parse_source({"peak_hz": p, "width_hz": w})  # raises this point's error
-            return _link_result(geometry, p, w, proto)
+            try:
+                return _link_result(geometry, _source_ratio(p, w), proto)
+            except ValueError:  # a config with this source words the error
+                _parse_source({"peak_hz": p, "width_hz": w})
+                raise
 
     results = []
     for index, value in enumerate(grid):

@@ -65,9 +65,9 @@ class Body:
     Parameters
     ----------
     mass : float
-        Mass in kg.  Zero is allowed and gives exact flat-space behavior.
+        Mass in kg, finite.  Zero is allowed and gives exact flat-space behavior.
     radius : float
-        Surface radius in m (stations cannot sit below it, but this
+        Surface radius in m, finite (stations cannot sit below it, but this
         module only enforces the horizon bound).
     """
 
@@ -75,10 +75,10 @@ class Body:
     radius: float
 
     def __post_init__(self) -> None:
-        if not (self.mass >= 0.0) or not math.isfinite(self.mass):
-            raise ValueError(f"mass must be finite and >= 0, got {self.mass}")
-        if not (self.radius > 0.0):
-            raise ValueError(f"radius must be > 0, got {self.radius}")
+        if not 0.0 <= self.mass < math.inf:
+            raise ValueError(f"mass: must be finite and >= 0, got {self.mass}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius: must be finite and > 0, got {self.radius}")
         rs = self.schwarzschild_radius
         if 0.0 < self.radius < 1e3 * rs:
             warnings.warn(

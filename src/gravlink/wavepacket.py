@@ -28,8 +28,7 @@ if TYPE_CHECKING:
 # mass beyond 15 sigma is ~5e-51, far below every tolerance used here.
 SUPPORT_SIGMAS = 15.0
 
-# A Gaussian source's peak_hz/width_hz must exceed this (the narrowband
-# regime; see GaussianPacket)
+# a Gaussian source's peak_hz/width_hz must exceed this (narrowband regime)
 NARROWBAND_RATIO = 100.0
 
 # tabulate's sampling density: keeps trapezoid aliasing error below 1e-30
@@ -87,11 +86,23 @@ def _trapezoid(y, x):
     return (getattr(np, "trapezoid", None) or np.trapz)(y, x)
 
 
+def _source_ratio(peak_hz: float, width_hz: float) -> float:
+    """peak_hz/width_hz, after the source rule: each finite and > 0, then narrowband."""
+    if not 0.0 < peak_hz < math.inf:
+        raise ValueError(f"peak_hz: must be finite and > 0, got {peak_hz}")
+    if not 0.0 < width_hz < math.inf:
+        raise ValueError(f"width_hz: must be finite and > 0, got {width_hz}")
+    ratio = peak_hz / width_hz
+    if not ratio > NARROWBAND_RATIO:
+        raise ValueError(f"peak_hz/width_hz: must exceed {NARROWBAND_RATIO:g} (narrowband regime), got {ratio}")
+    return ratio
+
+
 @dataclass(frozen=True)
 class GaussianPacket:
     """Gaussian amplitude (2 pi w^2)^(-1/4) exp(-(nu - peak)^2 / (4 w^2)).
 
-    peak_hz must sit at least 100 widths above zero: that is the regime
+    peak_hz must sit more than 100 widths above zero: that is the regime
     where extending overlap integrals over the whole real line (negative
     frequencies included) costs less than 1e-15 of the mass (the tail
     beyond 100 widths carries ~exp(-5000) of it).
@@ -101,15 +112,7 @@ class GaussianPacket:
     width_hz: float
 
     def __post_init__(self) -> None:
-        if not (self.width_hz > 0.0):
-            raise ValueError(f"width_hz must be > 0, got {self.width_hz}")
-        if not (self.peak_hz > 0.0):
-            raise ValueError(f"peak_hz must be > 0, got {self.peak_hz}")
-        if not (self.peak_hz / self.width_hz > NARROWBAND_RATIO):
-            raise ValueError(
-                f"peak_hz/width_hz must exceed {NARROWBAND_RATIO:g} (narrowband regime);"
-                f" got {self.peak_hz / self.width_hz}"
-            )
+        _source_ratio(self.peak_hz, self.width_hz)
 
     def amplitude(self, nu):
         import numpy as np

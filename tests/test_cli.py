@@ -15,11 +15,16 @@ from hypothesis import given, settings, strategies as st
 
 import gravlink.cli as cli
 from gravlink import (
+    Body,
+    ConfigError,
     ConvergenceError,
+    GaussianPacket,
     coordinate_travel_time,
     overlap_gaussian_closed,
+    qber_monte_carlo,
     redshift_total,
     shift_parameter,
+    tmss_fidelity,
 )
 from gravlink.scenario import (_ROW_BLOCK, RESULT_FIELDS, SOURCE_PRESETS, STATION_PRESETS,
                                parse_config, sweep)
@@ -471,6 +476,87 @@ class TestValidation:
         proc = gravlink("run", str(path))
         assert proc.returncode == 0, proc.stderr
         assert _rows(proc)[0]["fidelity"] == 0.0
+
+
+class TestOneRulePerInput:
+    """Each input rule is stated once, in the library module that owns the
+    input.  A library call, a config and a flag that break it get the same
+    rule text: the library's after the input's name, the config's and the
+    flag's after the field path."""
+
+    _LINK = {key: value for key, value in LEO_CONFIG.items() if key != "monte_carlo"}
+
+    @staticmethod
+    def _one_rule(gravlink, library_call, name, field, config, argv=None) -> str:
+        with pytest.raises(ValueError) as library:
+            library_call()
+        library_name, _, text = str(library.value).partition(": ")
+        assert library_name == name
+        with pytest.raises(ConfigError) as from_config:
+            parse_config(config)
+        message = f"{field}: {text}"
+        assert str(from_config.value) == message
+        if argv is not None:
+            proc = gravlink(*argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"gravlink: {message}\n")
+        return message
+
+    @pytest.mark.parametrize(
+        "peak, width, name",
+        [
+            (math.inf, 1e6, "peak_hz"),
+            (-7e14, 1e6, "peak_hz"),
+            (0.0, -1.0, "peak_hz"),  # the peak is judged before the width
+            (7e14, math.inf, "width_hz"),
+            (7e14, 0.0, "width_hz"),
+            (7e14, 7e12, "peak_hz/width_hz"),  # exactly 100 widths
+        ],
+    )
+    def test_source(self, gravlink, peak, width, name):
+        message = self._one_rule(
+            gravlink, lambda: GaussianPacket(peak, width), name, f"source.{name}",
+            dict(self._LINK, source={"peak_hz": peak, "width_hz": width}),
+            ["overlap", "--receiver", "iss", f"--peak-hz={peak!r}", f"--width-hz={width!r}"],
+        )
+        # a source sweep point over spdc_blue reads the same rule
+        if peak != 7e14 and width != 1e6:
+            return
+        config = parse_config(self._LINK)
+        parameter, value = ("peak_hz", peak) if width == 1e6 else ("width_hz", width)
+        with pytest.raises(ConfigError) as point:
+            sweep(config, parameter, [value])
+        assert str(point.value) == f"sweep.grid[0]: {message}"
+
+    @pytest.mark.parametrize(
+        "mass, radius, name, key",
+        [
+            (5.972e24, math.inf, "radius", "radius_m"),
+            (5.972e24, 0.0, "radius", "radius_m"),
+            (math.inf, 6.371e6, "mass", "mass_kg"),
+            (-1.0, 0.0, "mass", "mass_kg"),  # the mass is judged before the radius
+        ],
+    )
+    def test_body(self, gravlink, mass, radius, name, key):
+        self._one_rule(
+            gravlink, lambda: Body(mass, radius), name, f"body.{key}",
+            dict(self._LINK, body={"mass_kg": mass, "radius_m": radius}),
+            ["redshift", f"--mass-kg={mass!r}", f"--body-radius-m={radius!r}", "--receiver-radius-m", "7e6"],
+        )
+
+    @pytest.mark.parametrize("s", [-1.0, -5e-324])
+    def test_tmss_squeezing(self, gravlink, s):
+        self._one_rule(gravlink, lambda: tmss_fidelity(0.9, s), "s", "protocol.s",
+                       dict(self._LINK, protocol={"kind": "tmss", "s": s}))
+
+    @pytest.mark.parametrize("trials", [10**8 + 1, 10**20, 1e300, 5, -1, 20_000.5, math.inf])
+    def test_monte_carlo_trials(self, gravlink, monkeypatch, trials):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(np.random, "default_rng", no_sampling)
+        argv = ["qber", "--q", "0.1", "--trials", str(trials)] if isinstance(trials, int) else None
+        self._one_rule(gravlink, lambda: qber_monte_carlo(0.1, trials, 0), "trials", "monte_carlo.trials",
+                       dict(LEO_CONFIG, monte_carlo={"trials": trials, "seed": 0}), argv)
 
 
 # numbers outside every domain next to ordinary ones: NaN, +-inf, integers

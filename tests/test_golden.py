@@ -5,8 +5,8 @@ The files under tests/golden/ hold the stdout of each demo and of
 `gravlink paper-table --format csv`; tests/golden/cli/ holds the stdout
 of every command in CLI_CASES.  A refactor that changes any printed byte
 fails here; a deliberate change of output regenerates the files that
-hold it (`PYTHONPATH=src python tests/test_golden.py` rewrites every
-file these tests compare whose bytes changed, and names each on stderr).
+hold it (`python tests/test_golden.py` rewrites every file these tests
+compare whose bytes changed, and names each on stderr).
 """
 
 from __future__ import annotations
@@ -20,9 +20,12 @@ from pathlib import Path
 
 import pytest
 
-import gravlink.cli as cli
-
 ROOT = Path(__file__).resolve().parent.parent
+if __name__ == "__main__":  # run as a script: the checkout's package, ahead of any installed copy
+    sys.path.insert(0, str(ROOT / "src"))
+
+import gravlink.cli as cli  # noqa: E402
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMOS = ("cv_invariance", "entanglement_swap", "mode_mismatch", "redshift_budget", "reference_table")
 

@@ -507,6 +507,8 @@ class TestSweep:
             assert row.fidelity == 1.0
             assert row.extras == extras == {"x": 90.0, "v": 16_200.0, "exact_v": 16_200.5}
             assert row.chi is None and row.negativity is None
+        # built once per protocol: the points share one dict, as results without extras do
+        assert len({id(row.extras) for row in rows}) == 1
 
     @pytest.mark.parametrize(
         "parameter, grid, message",
@@ -516,8 +518,8 @@ class TestSweep:
             ("receiver_radius_m", [7e6, math.nan],
              r"^sweep\.grid\[1\]: receiver\.radius_m: expected a number, got nan$"),
             ("q", [0.5, 1.5], r"sweep\.grid\[1\]: q must lie in \[0, 1\]"),
-            ("width_hz", [1e6, 1e13], r"sweep\.grid\[1\]: source: peak_hz/width_hz"),
-            ("peak_hz", [5e7, 700e12], r"sweep\.grid\[0\]: source: peak_hz/width_hz"),
+            ("width_hz", [1e6, 1e13], r"sweep\.grid\[1\]: source\.peak_hz/width_hz: must exceed"),
+            ("peak_hz", [5e7, 700e12], r"sweep\.grid\[0\]: source\.peak_hz/width_hz: must exceed"),
         ],
         ids=["receiver_radius_m", "receiver_radius_m-nan", "q", "width_hz", "peak_hz"],
     )
@@ -535,7 +537,7 @@ class TestSweep:
     def test_narrowband_boundary_is_one_rule(self):
         # exactly 100 widths gets one message from a config and from a
         # width_hz sweep point, and the next float above passes both
-        message = "source: peak_hz/width_hz must exceed 100 (narrowband regime); got 100.0"
+        message = "source.peak_hz/width_hz: must exceed 100 (narrowband regime), got 100.0"
         with pytest.raises(ConfigError) as from_config:
             parse_config(dict(base_config(), source={"peak_hz": 100.0, "width_hz": 1.0}))
         assert str(from_config.value) == message

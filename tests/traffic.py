@@ -1,6 +1,6 @@
 """Which lines of src/gravlink the program's own callers reach.
 
-    PYTHONPATH=src python tests/traffic.py [--seed N]
+    python tests/traffic.py [--seed N]
 
 Traces, with the standard library's sys.settrace, every line of the
 gravlink package that runs while this script drives, in one process:
@@ -31,6 +31,8 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the checkout's package, ahead of any installed copy; nothing is imported yet
+sys.path.insert(0, str(ROOT / "src"))
 UNITS = 3  # pool units per perfbench workload
 
 
