@@ -27,8 +27,8 @@ from .scenario import (
     ConfigError,
     Protocol,
     _GEOMETRY_TAGS,
-    _MAX_GRID_POINTS,
     _QBER_MC_TAG,
+    _check_grid_size,
     _link_geometry,
     _parse_body,
     _parse_monte_carlo,
@@ -43,8 +43,8 @@ from .scenario import (
     run_scenario,
     sweep,
 )
-from .spacetime import (Body, ConvergenceError, Observer, _link_shift, _sign, _signed_shift,
-                        coordinate_travel_time)
+from .spacetime import (Body, ConvergenceError, Motion, Observer, Sign, _link_shift, _sign,
+                        _signed_shift, coordinate_travel_time)
 from .wavepacket import GaussianPacket, _overlap_at_ratio, _scale_terms, overlap_quadrature
 
 # The one text of every column a subcommand prints: the pipeline's own for
@@ -141,7 +141,7 @@ def _geometry_parent() -> argparse.ArgumentParser:
         "--receiver", choices=sorted(STATION_PRESETS), default=None, help="receiver preset"
     )
     group.add_argument("--receiver-radius-m", type=float, default=None)
-    group.add_argument("--receiver-motion", choices=("static", "orbit"), default=None)
+    group.add_argument("--receiver-motion", choices=[m.value for m in Motion], default=None)
     return parent
 
 
@@ -374,10 +374,7 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"sweep.grid: bad {head} range {text!r}") from None
-        if count < 1:
-            raise ConfigError("sweep.grid: COUNT must be >= 1")
-        if count > _MAX_GRID_POINTS:
-            raise ConfigError(f"sweep.grid: COUNT must be <= {_MAX_GRID_POINTS}, got {count}")
+        _check_grid_size(count)
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ConfigError(f"sweep.grid: {head} range needs finite endpoints, got {text!r}")
         if head == "lin":
@@ -446,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="mode overlap Delta and mismatch q for a source over a link",
     )
     p.add_argument("--delta", type=float, default=None, help="shift parameter, replaces geometry")
-    p.add_argument("--sign", choices=("up", "down"), help="shift direction for --delta (default up)")
+    p.add_argument("--sign", choices=[s.value for s in Sign], help="shift direction for --delta (default up)")
     p.add_argument(
         "--quadrature",
         action="store_true",

@@ -12,10 +12,9 @@ link, as homodyne_expectation never sees the modes (see ROADMAP item 2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .fidelity import _square
+from .fidelity import _check_amplitude, _square
 from .spacetime import Body, Observer, redshift_total
 from .wavepacket import SOURCE_PRESETS, GaussianPacket, WavePacket, overlap_quadrature, propagate_packet
 
@@ -37,10 +36,8 @@ class HomodynePrep:
     beta: complex
 
     def __post_init__(self) -> None:
-        for name, val in (("alpha", self.alpha), ("beta", self.beta)):
-            c = complex(val)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError(f"{name} must be finite, got {val!r}")
+        _check_amplitude("alpha", self.alpha)
+        _check_amplitude("beta", self.beta)
 
 
 @dataclass(frozen=True)

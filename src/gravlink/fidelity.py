@@ -24,10 +24,19 @@ def _square(x: float) -> float:
 
 
 def _check_delta(delta: complex | float) -> complex:
+    """Delta, the mode overlap, in the unit disc up to rounding (1e-12); NaN fails."""
     d = complex(delta)
-    if abs(d) > 1.0 + 1e-9:
-        raise ValueError(f"|delta| must be <= 1, got {abs(d)!r}")
+    if not abs(d) <= 1.0 + 1e-12:
+        raise ValueError(f"delta: |delta| must be <= 1 + 1e-12, got {abs(d)!r}")
     return d
+
+
+def _check_amplitude(name: str, value: complex | float) -> complex:
+    """A coherent amplitude, real or complex, whose parts are finite."""
+    c = complex(value)
+    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        raise ValueError(f"{name}: must be finite, got {value!r}")
+    return c
 
 
 def _check_q(q: float) -> float:
@@ -48,13 +57,14 @@ def coherent_fidelity(delta: complex | float, alpha: complex | float) -> float:
 
     Vacuum (alpha = 0) is shape-blind and always gives 1; large
     amplitudes amplify any mode mismatch exponentially.  F is exactly 1
-    at Re Delta = 1 for any finite alpha; where |alpha|^2 overflows a
-    float, F underflows to 0 for every Re Delta < 1.
+    at Re Delta = 1 for any finite alpha (any other raises); where
+    |alpha|^2 overflows a float, F underflows to 0 for every Re Delta < 1.
     """
+    a = _check_amplitude("alpha", alpha)
     d = _check_delta(delta)
     if d.real == 1.0:
         return 1.0
-    a2 = _square(abs(complex(alpha)))
+    a2 = _square(abs(a))
     return math.exp(-2.0 * a2 * (1.0 - d.real))
 
 
@@ -69,8 +79,8 @@ def tmss_fidelity(delta: complex | float, s: float) -> float:
     doubles near s = 355).  For any Delta < 1 the fidelity decays to
     zero as squeezing grows.
     """
-    if not s >= 0.0:
-        raise ValueError(f"s: must be >= 0, got {s}")
+    if not 0.0 <= s < math.inf:  # a NaN s fails too
+        raise ValueError(f"s: must be finite and >= 0, got {s}")
     d = _check_delta(delta)
     if d == 1.0:
         return 1.0

@@ -73,6 +73,7 @@ STATION_PRESETS: dict[str, dict] = {
     "far_field": {"radius_m": math.inf, "motion": "static"},
 }
 _MOTIONS = {motion.value: motion for motion in Motion}
+_MOTION_TEXT = " or ".join(map(repr, _MOTIONS))
 
 
 class Protocol(NamedTuple):
@@ -196,9 +197,7 @@ def _parse_station(body: Body, doc, path: str) -> Observer:
     try:
         motion = _MOTIONS[motion_raw]
     except (KeyError, TypeError):  # TypeError: a list or dict
-        raise ConfigError(
-            f"{path}.motion: expected 'static' or 'orbit', got {motion_raw!r}"
-        ) from None
+        raise ConfigError(f"{path}.motion: expected {_MOTION_TEXT}, got {motion_raw!r}") from None
     if not (radius >= body.radius):
         raise ConfigError(f"{path}.radius_m: below the body surface r = {body.radius} m, got {radius}")
     station = Observer(radius=radius, motion=motion)
@@ -221,12 +220,7 @@ def _parse_protocol(doc, path: str = "protocol") -> Protocol:
     if not isinstance(kind, str) or kind not in PROTOCOL_TABLE:
         raise ConfigError(f"{path}.kind: expected one of {tuple(PROTOCOL_TABLE)}, got {kind!r}")
     doc = _mapping(doc, _PROTOCOL_KEYS[kind], path)
-    values = {}
-    for name in PROTOCOL_TABLE[kind][0]:
-        values[name] = _number(doc, name, path)
-        if math.isinf(values[name]):
-            raise ConfigError(f"{path}.{name}: must be finite, got {values[name]}")
-    protocol = Protocol(kind=kind, **values)
+    protocol = Protocol(kind, **{name: _number(doc, name, path) for name in PROTOCOL_TABLE[kind][0]})
     # a matched mode's figures (Delta = 1, q = 0) apply the library's parameter rules
     _ruled(path, PROTOCOL_TABLE[kind][1], 1.0, 0.0, protocol)
     return protocol
@@ -356,16 +350,13 @@ def _link_geometry(body: Body, emitter: Observer, receiver: Observer) -> _Geomet
     """What a link gives every source sent over it, from one log rate
     ratio per link: (redshift_ratio, travel_time_s, overlap terms, the
     first of which is delta, and the signed shift x, with delta = |x| and
-    k = 1 + x); delta >= 1 is the receiver's error."""
+    k = 1 + x); a delta outside the overlap's domain is the receiver's error."""
     ratio, x = _link_shift(body, emitter, receiver)
-    delta = abs(x)
-    if not delta < 1.0:
-        raise ConfigError(
-            f"receiver.radius_m: the link's shift parameter delta = {delta}"
-            " leaves the closed-form overlap's domain [0, 1)"
-        )
-    travel = coordinate_travel_time(body, emitter.radius, receiver.radius)
-    return ratio, travel, _scale_terms(delta, 1.0 + x), x
+    try:
+        terms = _scale_terms(abs(x), 1.0 + x)
+    except ValueError as exc:
+        raise ConfigError(f"receiver.radius_m: {exc}") from None
+    return ratio, coordinate_travel_time(body, emitter.radius, receiver.radius), terms, x
 
 
 def _link_result(
@@ -507,6 +498,12 @@ SWEEP_PARAMETERS = ("width_hz", "peak_hz", "receiver_radius_m", "q")
 _MAX_GRID_POINTS = 100_000
 
 
+def _check_grid_size(points: int) -> None:
+    """The sweep grid's size rule, for a grid of this many points."""
+    if not 1 <= points <= _MAX_GRID_POINTS:
+        raise ConfigError(f"sweep.grid: must hold 1 to {_MAX_GRID_POINTS} points, got {points}")
+
+
 _Q_TAGS = {"Delta": "Delta = sqrt(1-q) (swept q, geometry bypassed)", "q": "swept input"}
 
 
@@ -521,17 +518,14 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
     at its peak/width ratio and the protocol figures.  Monte Carlo settings
     are dropped during sweeps to keep rows cheap and deterministic.  A
     grid value outside the model's domain raises ConfigError naming its
-    index, sweep.grid[i]; a grid of more than _MAX_GRID_POINTS values
-    raises it for sweep.grid before any point runs.
+    index, sweep.grid[i]; an empty grid, or one of more than
+    _MAX_GRID_POINTS values, raises it for sweep.grid before any point runs.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(
             f"sweep.parameter: expected one of {SWEEP_PARAMETERS}, got {parameter!r}"
         )
-    if len(grid) == 0:
-        raise ConfigError("sweep.grid: empty grid")
-    if len(grid) > _MAX_GRID_POINTS:
-        raise ConfigError(f"sweep.grid: at most {_MAX_GRID_POINTS} points, got {len(grid)}")
+    _check_grid_size(len(grid))
     body, emitter, proto = config.body, config.emitter, config.protocol
     peak, width = config.source.peak_hz, config.source.width_hz
     if parameter == "q":

@@ -220,12 +220,14 @@ def radius_after(body: Body, r_0: float, t: float) -> float:
 
     Raises
     ------
+    ValueError
+        If t is not finite and >= 0.
     ConvergenceError
         If the residual target max(1e-9 m, 8 ulp) is not met within 100
         iterations.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:  # a NaN t fails too
+        raise ValueError(f"t: must be finite and >= 0, got {t}")
     rs = body.schwarzschild_radius
     _check_above_horizon(rs, r_0)
     if rs == 0.0 or math.isinf(r_0):

@@ -196,8 +196,7 @@ class OverlapResult:
     abserr: float | None = None
 
     def __post_init__(self) -> None:
-        if abs(self.delta) > 1.0 + 1e-12:
-            raise ValueError(f"|delta| must be <= 1 + 1e-12, got {abs(self.delta)!r}")
+        _check_delta(self.delta)
         _check_q(self.q)
 
 

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -19,11 +20,20 @@ from gravlink import (
     ConfigError,
     ConvergenceError,
     GaussianPacket,
+    HomodynePrep,
+    Motion,
+    Observer,
+    OverlapResult,
+    coherent_fidelity,
     coordinate_travel_time,
+    mismatch_q,
     overlap_gaussian_closed,
     qber_monte_carlo,
+    radius_after,
     redshift_total,
+    run_scenario,
     shift_parameter,
+    single_photon_fidelity,
     tmss_fidelity,
 )
 from gravlink.scenario import (_ROW_BLOCK, RESULT_FIELDS, SOURCE_PRESETS, STATION_PRESETS,
@@ -39,6 +49,12 @@ LEO_CONFIG = {
 }
 
 
+# child processes import the gravlink this suite imports, which pytest's
+# pythonpath puts on sys.path but not in a child's environment
+_SRC = os.path.dirname(os.path.dirname(cli.__file__))
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
+
+
 def run_cli(*args: str):
     """A fresh `python -m gravlink` process: the entry point itself."""
     return subprocess.run(
@@ -46,6 +62,7 @@ def run_cli(*args: str):
         capture_output=True,
         text=True,
         timeout=120,
+        env=_CHILD_ENV,
     )
 
 
@@ -108,7 +125,7 @@ def test_no_subcommand_imports_scipy(tmp_path):
     subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
     assert {argv[0] for argv in argvs} == set(subparsers.choices)
     proc = subprocess.run([sys.executable, "-c", f"ARGVS = {argvs!r}" + _NO_SCIPY],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=_CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -148,7 +165,7 @@ def test_closed_form_commands_leave_numpy_unloaded(tmp_path):
         (["run", str(bad)], 1),
     ]
     proc = subprocess.run([sys.executable, "-c", f"CALLS = {calls!r}" + _NO_NUMPY],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=_CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -290,7 +307,7 @@ class TestValidation:
 
         monkeypatch.setattr(np, "linspace", no_allocation)
         proc = gravlink("sweep", str(leo_config), "--parameter", "q", "--grid", f"lin:0:1:{count}")
-        self._rejected(proc, f"sweep.grid: COUNT must be <= 100000, got {int(count)}")
+        self._rejected(proc, f"sweep.grid: must hold 1 to 100000 points, got {int(count)}")
 
     def test_grid_count_at_the_maximum_passes(self):
         grid = cli._parse_grid("lin:0:1:100000")
@@ -360,7 +377,8 @@ class TestValidation:
             (["overlap", "--delta", "-0.5"], "delta: must lie in [0, 1), got -0.5"),
             (["sweep", "{config}", "--parameter", "q", "--grid", "0.5,2"],
              "sweep.grid[1]: q must lie in [0, 1], got 2.0"),
-            (["sweep", "{config}", "--parameter", "q", "--grid", ","], "sweep.grid: empty grid"),
+            (["sweep", "{config}", "--parameter", "q", "--grid", ","],
+             "sweep.grid: must hold 1 to 100000 points, got 0"),
             (["sweep", "{config}", "--parameter", "q", "--grid", "lin:0:2:3"],
              "sweep.grid[2]: q must lie in [0, 1], got 2.0"),
             (["cv-homodyne", "--alpha", "nan", "--beta", "1"], "protocol.alpha: expected a number, got nan"),
@@ -433,10 +451,7 @@ class TestValidation:
         assert proc.returncode == 1 and proc.stdout == ""
         warning, error = proc.stderr.splitlines()
         assert warning.startswith("gravlink: warning: body radius 1700.0 m is within 1000")
-        assert error.startswith(
-            f"gravlink: {prefix}receiver.radius_m: the link's shift parameter delta = 2.38"
-        )
-        assert error.endswith(" leaves the closed-form overlap's domain [0, 1)")
+        assert error.startswith(f"gravlink: {prefix}receiver.radius_m: delta: must lie in [0, 1), got 2.38")
 
     @pytest.mark.parametrize("command", ["overlap", "entangle"])
     def test_orbit_flags_past_the_overlap_domain(self, gravlink, command):
@@ -479,23 +494,24 @@ class TestValidation:
 
 
 class TestOneRulePerInput:
-    """Each input rule is stated once, in the library module that owns the
-    input.  A library call, a config and a flag that break it get the same
-    rule text: the library's after the input's name, the config's and the
-    flag's after the field path."""
+    """Each rule on an input or a derived quantity is stated once, in the
+    library module that owns the quantity.  A library call, a config and a
+    flag that break it get the same rule text: the library's after the
+    quantity's name, the config's and the flag's after the field path."""
 
     _LINK = {key: value for key, value in LEO_CONFIG.items() if key != "monte_carlo"}
 
     @staticmethod
-    def _one_rule(gravlink, library_call, name, field, config, argv=None) -> str:
+    def _one_rule(gravlink, library_call, name, field, config=None, argv=None) -> str:
         with pytest.raises(ValueError) as library:
             library_call()
         library_name, _, text = str(library.value).partition(": ")
         assert library_name == name
-        with pytest.raises(ConfigError) as from_config:
-            parse_config(config)
         message = f"{field}: {text}"
-        assert str(from_config.value) == message
+        if config is not None:
+            with pytest.raises(ConfigError) as from_config:
+                parse_config(config)
+            assert str(from_config.value) == message
         if argv is not None:
             proc = gravlink(*argv)
             assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"gravlink: {message}\n")
@@ -543,10 +559,75 @@ class TestOneRulePerInput:
             ["redshift", f"--mass-kg={mass!r}", f"--body-radius-m={radius!r}", "--receiver-radius-m", "7e6"],
         )
 
-    @pytest.mark.parametrize("s", [-1.0, -5e-324])
+    @pytest.mark.parametrize("s", [-1.0, -5e-324, math.inf])
     def test_tmss_squeezing(self, gravlink, s):
         self._one_rule(gravlink, lambda: tmss_fidelity(0.9, s), "s", "protocol.s",
                        dict(self._LINK, protocol={"kind": "tmss", "s": s}))
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+    def test_coherent_amplitude(self, gravlink, alpha):
+        config = None
+        if isinstance(alpha, float) and not math.isnan(alpha):
+            config = dict(self._LINK, protocol={"kind": "coherent", "alpha": alpha})
+        message = self._one_rule(gravlink, lambda: coherent_fidelity(0.9, alpha), "alpha", "protocol.alpha",
+                                 config)
+        # a matched mode, where F = 1 for every finite alpha, judges alpha too
+        with pytest.raises(ValueError) as matched:
+            coherent_fidelity(1.0, alpha)
+        assert f"protocol.{matched.value}" == message
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf])
+    def test_homodyne_amplitude(self, gravlink, alpha):
+        # one amplitude rule: the coherent protocol's and the homodyne's
+        message = self._one_rule(
+            gravlink, lambda: HomodynePrep(alpha, 1.0), "alpha", "protocol.alpha",
+            dict(self._LINK, protocol={"kind": "cv_homodyne", "alpha": alpha, "beta": 1.0}),
+            ["cv-homodyne", f"--alpha={alpha!r}", "--beta", "1"],
+        )
+        with pytest.raises(ValueError) as coherent:
+            coherent_fidelity(0.9, alpha)
+        assert f"protocol.{coherent.value}" == message
+
+    @pytest.mark.parametrize("delta", [math.nan, 1.0 + 1e-10, complex(0.6, 0.8000001), -math.inf])
+    def test_overlap_modulus(self, gravlink, delta):
+        # Delta has no config field or flag; every library route states one rule
+        routes = (mismatch_q, single_photon_fidelity, lambda d: OverlapResult(delta=d, q=0.0),
+                  lambda d: coherent_fidelity(d, 1.0), lambda d: tmss_fidelity(d, 1.0))
+        texts = {self._one_rule(gravlink, lambda: route(delta), "delta", "delta") for route in routes}
+        assert texts == {f"delta: |delta| must be <= 1 + 1e-12, got {abs(delta)!r}"}
+
+    @pytest.mark.filterwarnings("ignore:body radius")
+    def test_overlap_shift_domain(self, gravlink):
+        # an orbit just outside a compact body's photon sphere: delta = 2.38
+        body = Body(1e30, 1700.0)
+        shift = shift_parameter(body, Observer(1700.0), Observer(2230.0, Motion.CIRCULAR_ORBIT))
+        packet = GaussianPacket(7e14, 1e6)
+        with pytest.raises(ValueError) as library:
+            overlap_gaussian_closed(packet, shift)
+        message = f"receiver.radius_m: {library.value}"
+        assert message.startswith("receiver.radius_m: delta: must lie in [0, 1), got 2.38")
+        doc = dict(self._LINK, body={"mass_kg": 1e30, "radius_m": 1700}, emitter={"radius_m": 1700},
+                   receiver={"radius_m": 2230, "motion": "orbit"})
+        with pytest.raises(ConfigError) as from_config:
+            run_scenario(parse_config(doc))
+        assert str(from_config.value) == message
+        proc = gravlink("overlap", "--mass-kg", "1e30", "--body-radius-m", "1700",
+                        "--receiver-motion", "orbit", "--receiver-radius-m", "2230")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines()[-1] == f"gravlink: {message}"
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_light_travel_time(self, gravlink, t):
+        self._one_rule(gravlink, lambda: radius_after(Body(5.972e24, 6.371e6), 6.371e6, t), "t", "t")
+
+    @pytest.mark.parametrize("count", [0, 100_001])
+    def test_sweep_grid_size(self, gravlink, leo_config, count):
+        message = f"sweep.grid: must hold 1 to 100000 points, got {count}"
+        with pytest.raises(ConfigError) as from_sweep:
+            sweep(parse_config(self._LINK), "q", [0.5] * count)
+        assert str(from_sweep.value) == message
+        proc = gravlink("sweep", str(leo_config), "--parameter", "q", "--grid", f"lin:0:1:{count}")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"gravlink: {message}\n")
 
     @pytest.mark.parametrize("trials", [10**8 + 1, 10**20, 1e300, 5, -1, 20_000.5, math.inf])
     def test_monte_carlo_trials(self, gravlink, monkeypatch, trials):

@@ -386,9 +386,9 @@ class TestMismatchQ:
         assert mismatch_q(1.0 + 1e-12) == 0.0
 
     def test_rejects_unphysical(self):
-        # the fidelities' |Delta| <= 1 (+1e-9) rule, with its message
+        # the one |Delta| <= 1 (+1e-12) rule, with its message
         for call in (mismatch_q, single_photon_fidelity):
-            with pytest.raises(ValueError, match=r"^\|delta\| must be <= 1, got 1\.000001$"):
+            with pytest.raises(ValueError, match=r"^delta: \|delta\| must be <= 1 \+ 1e-12, got 1\.000001$"):
                 call(1.0 + 1e-6)
 
 
