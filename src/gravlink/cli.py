@@ -91,14 +91,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _precision(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if not 1 <= value <= 17:
-        raise argparse.ArgumentTypeError("precision must lie in 1..17")
-    return value
+def _one_of(names) -> str:
+    """The {a,b} metavar argparse prints for choices=names: the flag's value
+    is left to the config rule that checks it, and its message."""
+    return "{" + ",".join(names) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +113,7 @@ def _output_parent() -> argparse.ArgumentParser:
     group.add_argument("--out", metavar="PATH", default=None, help="write to a file instead of stdout")
     group.add_argument(
         "--precision",
-        type=_precision,
+        type=int,  # render_json's rule: 1..17
         default=None,
         metavar="DIGITS",
         help="significant digits for JSON floats (default 12; 17 is exact)",
@@ -128,7 +124,7 @@ def _output_parent() -> argparse.ArgumentParser:
 def _geometry_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("geometry")
-    group.add_argument("--body", choices=sorted(BODY_PRESETS), default=None, help="body preset")
+    group.add_argument("--body", metavar=_one_of(sorted(BODY_PRESETS)), default=None, help="body preset")
     group.add_argument("--mass-kg", type=float, default=None)
     group.add_argument("--body-radius-m", type=float, default=None)
     group.add_argument(
@@ -138,10 +134,10 @@ def _geometry_parent() -> argparse.ArgumentParser:
         help="static emitter radius (default: body surface)",
     )
     group.add_argument(
-        "--receiver", choices=sorted(STATION_PRESETS), default=None, help="receiver preset"
+        "--receiver", metavar=_one_of(sorted(STATION_PRESETS)), default=None, help="receiver preset"
     )
     group.add_argument("--receiver-radius-m", type=float, default=None)
-    group.add_argument("--receiver-motion", choices=[m.value for m in Motion], default=None)
+    group.add_argument("--receiver-motion", metavar=_one_of(m.value for m in Motion), default=None)
     return parent
 
 
@@ -149,7 +145,7 @@ def _source_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("source")
     group.add_argument(
-        "--source", choices=sorted(SOURCE_PRESETS), default=None, help="source preset"
+        "--source", metavar=_one_of(sorted(SOURCE_PRESETS)), default=None, help="source preset"
     )
     group.add_argument("--peak-hz", type=float, default=None)
     group.add_argument("--width-hz", type=float, default=None)
@@ -482,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[outp], help="sweep one parameter over a grid")
     p.add_argument("config", help="path to the base scenario configuration")
-    p.add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS)
+    p.add_argument("--parameter", required=True, metavar=_one_of(SWEEP_PARAMETERS))
     p.add_argument(
         "--grid",
         required=True,
@@ -512,6 +508,8 @@ def main(argv=None) -> int:
     try:
         if args.format == "csv":
             _reject_unread(args, ("precision",), "CSV floats are exact round-trip")
+        elif args.precision is not None:
+            render_json(None, args.precision)  # its digit rule, before any work is done
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return args.handler(args)

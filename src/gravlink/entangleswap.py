@@ -145,10 +145,10 @@ def apply_beamsplitter(state: FockVector, mode_x: int, mode_y: int) -> FockVecto
     exactly up to float rounding.
     """
     if mode_x == mode_y:
-        raise ValueError("beam splitter needs two distinct modes")
-    for m in (mode_x, mode_y):
+        raise ValueError(f"mode_y: must differ from mode_x, got {mode_y}")
+    for name, m in (("mode_x", mode_x), ("mode_y", mode_y)):
         if not (0 <= m < N_MODES):
-            raise ValueError(f"mode index out of range: {m}")
+            raise ValueError(f"{name}: must lie in 0..{N_MODES - 1}, got {m}")
     out: dict[tuple[int, ...], complex] = {}
     for key, amp in state.amplitudes.items():
         m, n = key[mode_x], key[mode_y]
@@ -183,7 +183,7 @@ def _click_mask(which: str) -> tuple[tuple[int, int], tuple[int, int]]:
         return (AP, CP), (BP, DP)
     if which == "D2":
         return (BP, DP), (AP, CP)
-    raise ValueError(f"detector must be 'D1' or 'D2', got {which!r}")
+    raise ValueError(f"which: must be 'D1' or 'D2', got {which!r}")
 
 
 def detect(state: FockVector, which: str) -> ClickOutcome:
@@ -250,9 +250,9 @@ def negativity(rho: np.ndarray) -> float:
 
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+        raise ValueError(f"rho: must be a 4x4 density matrix, got shape {rho.shape}")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValueError("density matrix is not Hermitian within 1e-10")
+        raise ValueError("rho: must be Hermitian within 1e-10")
     pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     eigs = np.linalg.eigvalsh(pt)
     return float(max(0.0, -eigs[eigs < 0.0].sum()))

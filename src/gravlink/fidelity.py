@@ -42,7 +42,7 @@ def _check_amplitude(name: str, value: complex | float) -> complex:
 def _check_q(q: float) -> float:
     """q, the mode mismatch weight, checked against its domain [0, 1]."""
     if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+        raise ValueError(f"q: must lie in [0, 1], got {q}")
     return q
 
 

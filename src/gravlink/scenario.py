@@ -629,6 +629,8 @@ def render_json(doc, precision: int) -> str:
     point, one with a positive exponent, and that of a value below
     1e-300 in magnitude.
     """
+    if not 1 <= precision <= 17:
+        raise ValueError(f"precision: must lie in 1..17, got {precision}")
     float_repr = float.__repr__
     string = encode_basestring_ascii
     spec = f".{precision}g"

@@ -107,7 +107,7 @@ class Observer:
 
     def __post_init__(self) -> None:
         if not (self.radius > 0.0):
-            raise ValueError(f"observer radius must be > 0, got {self.radius}")
+            raise ValueError(f"radius: must be > 0, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -116,15 +116,12 @@ class ShiftParameter:
 
     delta is |R^(1/4) - 1| where R is the ratio of the two stations'
     clock-rate factors; sign is UP when the link is a net redshift
-    (frequency ratio below one) and DOWN for a net blueshift.
+    (frequency ratio below one) and DOWN for a net blueshift.  delta has
+    no rule here: the closed-form overlap, which uses it, takes [0, 1).
     """
 
     delta: float
     sign: Sign
-
-    def __post_init__(self) -> None:
-        if not (self.delta >= 0.0):
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
 
 
 def _check_above_horizon(rs: float, r: float) -> None:

@@ -242,7 +242,7 @@ def propagate_packet(packet: WavePacket, ratio: float) -> WavePacket:
     """
     chi = float(ratio)
     if not (chi > 0.0) or not math.isfinite(chi):
-        raise ValueError(f"ratio must be finite and > 0, got {ratio}")
+        raise ValueError(f"ratio: must be finite and > 0, got {ratio}")
     if isinstance(packet, GaussianPacket):
         return GaussianPacket(packet.peak_hz / chi, packet.width_hz / chi)
     # grid point nu maps to nu/chi carrying amplitude sqrt(chi) F(nu).

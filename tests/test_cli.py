@@ -36,8 +36,8 @@ from gravlink import (
     single_photon_fidelity,
     tmss_fidelity,
 )
-from gravlink.scenario import (_ROW_BLOCK, RESULT_FIELDS, SOURCE_PRESETS, STATION_PRESETS,
-                               parse_config, sweep)
+from gravlink.scenario import (_ROW_BLOCK, RESULT_FIELDS, SOURCE_PRESETS, STATION_PRESETS, _parse_body,
+                               _parse_source, _parse_station, parse_config, render_json, sweep)
 
 LEO_CONFIG = {
     "body": "earth",
@@ -223,7 +223,12 @@ class TestExitCodes:
         proc = gravlink("run", str(tmp_path / "nope.json"))
         assert proc.returncode == 1
 
-    def test_precision_out_of_range(self, gravlink):
+    def test_precision_out_of_range(self, gravlink, monkeypatch):
+        # rejected before the subcommand does any work
+        def no_work(args):
+            raise AssertionError("ran")
+
+        monkeypatch.setattr(cli, "_cmd_redshift", no_work)
         assert gravlink("redshift", "--receiver", "iss", "--precision", "18").returncode == 1
         assert gravlink("redshift", "--receiver", "iss", "--precision", "0").returncode == 1
 
@@ -367,20 +372,20 @@ class TestValidation:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["entangle", "--q", "nan"], "q must lie in [0, 1], got nan"),
-            (["entangle", "--q", "2"], "q must lie in [0, 1], got 2.0"),
-            (["qber", "--q", "1.5"], "q must lie in [0, 1], got 1.5"),
-            (["qber", "--q", "-1"], "q must lie in [0, 1], got -1.0"),
-            (["qber", "--q", "1.5", "--trials", "20000"], "q must lie in [0, 1], got 1.5"),
+            (["entangle", "--q", "nan"], "q: must lie in [0, 1], got nan"),
+            (["entangle", "--q", "2"], "q: must lie in [0, 1], got 2.0"),
+            (["qber", "--q", "1.5"], "q: must lie in [0, 1], got 1.5"),
+            (["qber", "--q", "-1"], "q: must lie in [0, 1], got -1.0"),
+            (["qber", "--q", "1.5", "--trials", "20000"], "q: must lie in [0, 1], got 1.5"),
             (["overlap", "--delta", "nan"], "delta: must lie in [0, 1), got nan"),
             (["overlap", "--delta", "1"], "delta: must lie in [0, 1), got 1.0"),
             (["overlap", "--delta", "-0.5"], "delta: must lie in [0, 1), got -0.5"),
             (["sweep", "{config}", "--parameter", "q", "--grid", "0.5,2"],
-             "sweep.grid[1]: q must lie in [0, 1], got 2.0"),
+             "sweep.grid[1]: q: must lie in [0, 1], got 2.0"),
             (["sweep", "{config}", "--parameter", "q", "--grid", ","],
              "sweep.grid: must hold 1 to 100000 points, got 0"),
             (["sweep", "{config}", "--parameter", "q", "--grid", "lin:0:2:3"],
-             "sweep.grid[2]: q must lie in [0, 1], got 2.0"),
+             "sweep.grid[2]: q: must lie in [0, 1], got 2.0"),
             (["cv-homodyne", "--alpha", "nan", "--beta", "1"], "protocol.alpha: expected a number, got nan"),
             (["cv-homodyne", "--alpha", "1", "--beta=-inf"], "protocol.beta: must be finite, got -inf"),
             (["qber", "--q", "0.1", "--trials", "5"], "monte_carlo.trials: must be an integer >= 10000, got 5"),
@@ -619,6 +624,30 @@ class TestOneRulePerInput:
     @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
     def test_light_travel_time(self, gravlink, t):
         self._one_rule(gravlink, lambda: radius_after(Body(5.972e24, 6.371e6), 6.371e6, t), "t", "t")
+
+    @pytest.mark.parametrize(
+        "rule, field, config, argv",
+        [
+            (lambda: _parse_body("mars"), "body", {"body": "mars"}, ["redshift", "--body", "mars", "--receiver", "iss"]),
+            (lambda: _parse_station(_parse_body("earth"), "geo", "receiver"), "receiver", {"receiver": "geo"},
+             ["redshift", "--receiver", "geo"]),
+            (lambda: _parse_station(_parse_body("earth"), {"radius_m": 7e6, "motion": "spin"}, "receiver"),
+             "receiver.motion", {"receiver": {"radius_m": 7e6, "motion": "spin"}},
+             ["redshift", "--receiver-radius-m", "7e6", "--receiver-motion", "spin"]),
+            (lambda: _parse_source("nope"), "source", {"source": "nope"},
+             ["overlap", "--receiver", "iss", "--source", "nope"]),
+            (lambda: sweep(parse_config(LEO_CONFIG), "bogus", [0.5]), "sweep.parameter", None,
+             ["sweep", "{config}", "--parameter", "bogus", "--grid", "0.5"]),
+            (lambda: render_json({}, 0), "precision", None, ["redshift", "--receiver", "iss", "--precision", "0"]),
+            (lambda: render_json({}, 18), "precision", None, ["redshift", "--receiver", "iss", "--precision", "18"]),
+        ],
+        ids=["body", "receiver", "receiver-motion", "source", "sweep-parameter", "precision-0", "precision-18"],
+    )
+    def test_flag_values(self, gravlink, leo_config, rule, field, config, argv):
+        # argparse checks none of these values: each reaches the rule a config
+        # meets, and a bad one prints that rule's line and no usage block
+        self._one_rule(gravlink, rule, field, field, config and dict(self._LINK, **config),
+                       [arg.format(config=leo_config) for arg in argv])
 
     @pytest.mark.parametrize("count", [0, 100_001])
     def test_sweep_grid_size(self, gravlink, leo_config, count):
@@ -1046,7 +1075,7 @@ class TestRunAndSweep:
         # is rendered, so a failure past that block leaves no partial output
         count = _ROW_BLOCK + 100
         grid = ",".join(["0.5"] * (count - 1) + ["2"])
-        message = f"gravlink: sweep.grid[{count - 1}]: q must lie in [0, 1], got 2.0\n"
+        message = f"gravlink: sweep.grid[{count - 1}]: q: must lie in [0, 1], got 2.0\n"
         target = tmp_path / f"sweep.{fmt}"
         argv = ["sweep", str(leo_config), "--parameter", "q", "--grid", grid, "--format", fmt]
         for extra in ([], ["--out", str(target)]):

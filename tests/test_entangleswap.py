@@ -83,10 +83,12 @@ def test_beamsplitter_is_an_involution():
 
 def test_beamsplitter_validation():
     state = build_initial_state(0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^mode_y: must differ from mode_x, got {AP}$"):
         apply_beamsplitter(state, AP, AP)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mode_y: must lie in 0\.\.5, got 6$"):
         apply_beamsplitter(state, AP, 6)
+    with pytest.raises(ValueError, match=r"^mode_x: must lie in 0\.\.5, got -1$"):
+        apply_beamsplitter(state, -1, AP)
 
 
 def test_fock_vector_validation():
@@ -128,7 +130,7 @@ def test_detector_labels_mirror_each_other():
 
 
 def test_detect_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^which: must be 'D1' or 'D2', got 'D3'$"):
         detect(_swapped(0.1), "D3")
     empty = FockVector({(1, 1, 0, 0, 0, 0): 1.0})  # no optical photon at all
     assert detect(empty, "D1").probability == 0.0
@@ -166,11 +168,11 @@ def test_negativity_reference_states():
 
 
 def test_negativity_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^rho: must be a 4x4 density matrix, got shape \(3, 3\)$"):
         negativity(np.eye(3))
     skewed = np.eye(4, dtype=complex)
     skewed[0, 1] = 1e-3
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ValueError, match=r"^rho: must be Hermitian within 1e-10$"):
         negativity(skewed)
 
 

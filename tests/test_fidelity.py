@@ -130,5 +130,5 @@ def test_validation():
 )
 @pytest.mark.parametrize("q", [-0.1, 1.5, math.nan])
 def test_every_q_route_gives_the_one_message(call, q):
-    with pytest.raises(ValueError, match=rf"^q must lie in \[0, 1\], got {q}$"):
+    with pytest.raises(ValueError, match=rf"^q: must lie in \[0, 1\], got {q}$"):
         call(q)

@@ -14,9 +14,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import runpy
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -119,6 +121,9 @@ def _cli_cases() -> dict[str, list[str]]:
         "--lo-width-hz", "1e6",
     ]
     cases["paper-table-json"] = ["paper-table"]
+    cases["help"] = ["--help"]
+    for command in ("redshift", "overlap", "entangle", "qber", "cv-homodyne", "run", "sweep", "paper-table"):
+        cases[f"help-{command}"] = [command, "--help"]
     return cases
 
 
@@ -137,7 +142,11 @@ def _stdout(call) -> str:
 
 
 def _main(argv: list[str]) -> None:
-    assert cli.main(argv) == 0, argv
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # --help prints and exits 0
+        code = exc.code
+    assert code == 0, argv
 
 
 def _demo_stdout(demo: str) -> str:
@@ -154,7 +163,8 @@ def _cli_stdout(case: str, config_dir: Path) -> str:
         path = config_dir / f"{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         paths[name] = str(path)
-    return _stdout(lambda: _main([arg.format(**paths) for arg in CLI_CASES[case]]))
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        return _stdout(lambda: _main([arg.format(**paths) for arg in CLI_CASES[case]]))
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -517,7 +517,7 @@ class TestSweep:
             # the message a config gets for the same value, not the surface's
             ("receiver_radius_m", [7e6, math.nan],
              r"^sweep\.grid\[1\]: receiver\.radius_m: expected a number, got nan$"),
-            ("q", [0.5, 1.5], r"sweep\.grid\[1\]: q must lie in \[0, 1\]"),
+            ("q", [0.5, 1.5], r"sweep\.grid\[1\]: q: must lie in \[0, 1\]"),
             ("width_hz", [1e6, 1e13], r"sweep\.grid\[1\]: source\.peak_hz/width_hz: must exceed"),
             ("peak_hz", [5e7, 700e12], r"sweep\.grid\[0\]: source\.peak_hz/width_hz: must exceed"),
         ],
@@ -554,7 +554,7 @@ class TestSweep:
         with pytest.raises(ConfigError, match=r"^sweep\.grid: must hold 1 to 100000 points, got 100001$"):
             sweep(sc, "q", [0.0] * 100_001)
         # exactly the maximum passes the count check and reaches the points
-        with pytest.raises(ConfigError, match=r"^sweep\.grid\[0\]: q must lie"):
+        with pytest.raises(ConfigError, match=r"^sweep\.grid\[0\]: q: must lie"):
             sweep(sc, "q", [2.0] + [0.0] * 99_999)
 
     @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from gravlink import (
     G,
     Body,
     ConvergenceError,
+    GaussianPacket,
     HorizonError,
     Motion,
     Observer,
@@ -21,6 +22,7 @@ from gravlink import (
     ShiftParameter,
     Sign,
     coordinate_travel_time,
+    overlap_gaussian_closed,
     radius_after,
     redshift_total,
     shift_parameter,
@@ -91,10 +93,12 @@ def test_body_warns_in_strong_field():
 
 
 def test_observer_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^radius: must be > 0, got 0\.0$"):
         Observer(0.0)
-    with pytest.raises(ValueError):
-        ShiftParameter(delta=-1e-12, sign=Sign.UP)
+    # a shift carries no rule of its own: the overlap refuses a negative delta where it uses it
+    shift = ShiftParameter(delta=-1e-12, sign=Sign.UP)
+    with pytest.raises(ValueError, match=r"^delta: must lie in \[0, 1\), got -1e-12$"):
+        overlap_gaussian_closed(GaussianPacket(7e14, 1e6), shift)
 
 
 def test_redshift_static_ground_to_orbit():

@@ -359,7 +359,7 @@ class TestPropagate:
 
     @pytest.mark.parametrize("ratio", [0.0, -1.0, math.inf, math.nan])
     def test_invalid_ratio(self, ratio):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^ratio: must be finite and > 0, got {ratio}$"):
             propagate_packet(SPDC, ratio)
 
     @given(st.floats(1e12, 9e14), st.floats(150.0, 1e6), st.floats(0.5, 2.0))
