@@ -97,6 +97,17 @@ def _one_of(names) -> str:
     return "{" + ",".join(names) + "}"
 
 
+def _flag_number(text: str):
+    """A number flag's value as a config holds it: int(text), else
+    float(text), else the text itself, which the field's rule rejects."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
 # ---------------------------------------------------------------------------
 # shared flag groups and their config sub-documents
 
@@ -125,18 +136,18 @@ def _geometry_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("geometry")
     group.add_argument("--body", metavar=_one_of(sorted(BODY_PRESETS)), default=None, help="body preset")
-    group.add_argument("--mass-kg", type=float, default=None)
-    group.add_argument("--body-radius-m", type=float, default=None)
+    group.add_argument("--mass-kg", type=_flag_number, default=None)
+    group.add_argument("--body-radius-m", type=_flag_number, default=None)
     group.add_argument(
         "--emitter-radius-m",
-        type=float,
+        type=_flag_number,
         default=None,
         help="static emitter radius (default: body surface)",
     )
     group.add_argument(
         "--receiver", metavar=_one_of(sorted(STATION_PRESETS)), default=None, help="receiver preset"
     )
-    group.add_argument("--receiver-radius-m", type=float, default=None)
+    group.add_argument("--receiver-radius-m", type=_flag_number, default=None)
     group.add_argument("--receiver-motion", metavar=_one_of(m.value for m in Motion), default=None)
     return parent
 
@@ -147,8 +158,8 @@ def _source_parent() -> argparse.ArgumentParser:
     group.add_argument(
         "--source", metavar=_one_of(sorted(SOURCE_PRESETS)), default=None, help="source preset"
     )
-    group.add_argument("--peak-hz", type=float, default=None)
-    group.add_argument("--width-hz", type=float, default=None)
+    group.add_argument("--peak-hz", type=_flag_number, default=None)
+    group.add_argument("--width-hz", type=_flag_number, default=None)
     return parent
 
 
@@ -457,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qber", parents=[outp], help="key error rate at a given mismatch weight")
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--trials", type=int, default=None, help="add a Monte Carlo estimate")
-    p.add_argument("--seed", type=int, default=None, help="generator seed for --trials (default 12345)")
+    p.add_argument("--trials", type=_flag_number, default=None, help="add a Monte Carlo estimate")
+    p.add_argument("--seed", type=_flag_number, default=None, help="generator seed for --trials (default 12345)")
     p.set_defaults(handler=_cmd_qber)
 
     p = sub.add_parser(
@@ -466,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[outp, src],
         help="homodyne X and V across flat, orbit and far-field links",
     )
-    p.add_argument("--alpha", type=float, required=True, help="signal amplitude")
-    p.add_argument("--beta", type=float, required=True, help="local oscillator amplitude")
-    p.add_argument("--lo-peak-hz", type=float, default=None, help="mismatched LO demo")
-    p.add_argument("--lo-width-hz", type=float, default=None)
+    p.add_argument("--alpha", type=_flag_number, required=True, help="signal amplitude")
+    p.add_argument("--beta", type=_flag_number, required=True, help="local oscillator amplitude")
+    p.add_argument("--lo-peak-hz", type=_flag_number, default=None, help="mismatched LO demo")
+    p.add_argument("--lo-width-hz", type=_flag_number, default=None)
     p.set_defaults(handler=_cmd_cv_homodyne)
 
     p = sub.add_parser("run", parents=[outp], help="run one scenario from a JSON config")
@@ -526,6 +537,3 @@ def main(argv=None) -> int:
         print(f"gravlink: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

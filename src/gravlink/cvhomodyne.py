@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .fidelity import _check_amplitude, _square
 from .spacetime import Body, Observer, redshift_total
-from .wavepacket import SOURCE_PRESETS, GaussianPacket, WavePacket, overlap_quadrature, propagate_packet
+from .wavepacket import WavePacket, overlap_quadrature, propagate_packet
 
 __all__ = ["HomodynePrep", "HomodyneResult", "homodyne_expectation", "curvature_invariance_report"]
 
@@ -74,7 +74,7 @@ def homodyne_expectation(prep: HomodynePrep) -> HomodyneResult:
 def curvature_invariance_report(
     prep: HomodynePrep,
     scenarios: list[tuple[Body, Observer, Observer]],
-    packet: WavePacket | None = None,
+    packet: WavePacket,
     lo_packet: WavePacket | None = None,
 ) -> list[dict]:
     """Propagate signal and LO through each scenario and check them.
@@ -88,8 +88,6 @@ def curvature_invariance_report(
     1; such rows fail and X, V are withheld (the closed forms assume
     matched modes).
     """
-    if packet is None:
-        packet = GaussianPacket(**SOURCE_PRESETS["spdc_blue"])
     if lo_packet is None:
         lo_packet = packet
     homodyne = homodyne_expectation(prep)

@@ -1,6 +1,6 @@
 """Single-photon frequency wavepackets and their mode overlap.
 
-A packet is a normalized complex amplitude F(nu) over ordinary frequency
+A packet is a normalized real amplitude F(nu) over ordinary frequency
 in Hz.  Propagation through a gravitational potential difference maps
 F(nu) -> sqrt(chi) F(chi nu), which shifts the peak *and* rescales the
 width, so the received mode is never just a detuned copy of the sent
@@ -33,6 +33,9 @@ NARROWBAND_RATIO = 100.0
 
 # tabulate's sampling density: keeps trapezoid aliasing error below 1e-30
 _POINTS_PER_WIDTH = 8
+
+# the one header of a packet file
+_CSV_HEADER = ["frequency_hz", "amplitude_real"]
 
 # QUADPACK's 21-point Gauss-Kronrod rule (dqk21) on [-1, 1]: the Kronrod
 # nodes xgk and weights wgk from the outermost node to the centre, and
@@ -129,7 +132,7 @@ class GaussianPacket:
 
 @dataclass(frozen=True, eq=False)
 class TabulatedPacket:
-    """Amplitude samples on a strictly increasing frequency grid.
+    """Real amplitude samples on a strictly increasing frequency grid.
 
     Integrals over tabulated packets use trapezoidal weights, which for
     smooth amplitudes that decay inside the grid are spectrally
@@ -145,8 +148,10 @@ class TabulatedPacket:
     def __post_init__(self) -> None:
         import numpy as np
 
+        if np.iscomplexobj(self.amp):
+            raise ValueError("amp: must be real samples")
         freq = np.asarray(self.freq_hz, dtype=float)
-        amp = np.asarray(self.amp, dtype=complex)
+        amp = np.asarray(self.amp, dtype=float)
         if freq.ndim != 1 or freq.size < 4:
             raise ValueError("freq_hz must be a 1-d grid with at least 4 points")
         if amp.shape != freq.shape:
@@ -166,10 +171,7 @@ class TabulatedPacket:
     def amplitude(self, nu):
         import numpy as np
 
-        nu = np.asarray(nu, dtype=float)
-        re = np.interp(nu, self.freq_hz, self.amp.real, left=0.0, right=0.0)
-        im = np.interp(nu, self.freq_hz, self.amp.imag, left=0.0, right=0.0)
-        return re + 1j * im
+        return np.interp(nu, self.freq_hz, self.amp, left=0.0, right=0.0)
 
     def support(self) -> tuple[float, float]:
         return float(self.freq_hz[0]), float(self.freq_hz[-1])
@@ -200,13 +202,9 @@ class OverlapResult:
         _check_q(self.q)
 
 
-def total_probability(packet: WavePacket) -> float:
-    """integral |F|^2 dnu; exactly 1 for the Gaussian family by construction."""
-    if isinstance(packet, GaussianPacket):
-        return 1.0
-    import numpy as np
-
-    return float(_trapezoid(np.abs(packet.amp) ** 2, packet.freq_hz))
+def total_probability(packet: TabulatedPacket) -> float:
+    """integral F^2 dnu by trapezoids on the packet's grid."""
+    return float(_trapezoid(packet.amp**2, packet.freq_hz))
 
 
 def tabulate(packet: GaussianPacket) -> TabulatedPacket:
@@ -220,15 +218,15 @@ def tabulate(packet: GaussianPacket) -> TabulatedPacket:
 
     lo, hi = packet.support()
     grid = np.linspace(lo, hi, int(2 * SUPPORT_SIGMAS * _POINTS_PER_WIDTH) + 1)
-    return _normalized(grid, packet.amplitude(grid).astype(complex))
+    return _normalized(grid, packet.amplitude(grid))
 
 
 def _normalized(grid: np.ndarray, amp: np.ndarray) -> TabulatedPacket:
     """The packet with amplitudes amp scaled to unit probability on grid."""
-    import numpy as np
-
-    norm = float(_trapezoid(np.abs(amp) ** 2, grid))
-    return TabulatedPacket(grid, amp / math.sqrt(norm))
+    norm = float(_trapezoid(amp**2, grid))
+    # times the reciprocal root, not divided by it: numpy scaled the complex
+    # samples of earlier versions that way, so packet files keep their bytes
+    return TabulatedPacket(grid, amp * (1.0 / math.sqrt(norm)))
 
 
 def propagate_packet(packet: WavePacket, ratio: float) -> WavePacket:
@@ -254,7 +252,7 @@ def propagate_packet(packet: WavePacket, ratio: float) -> WavePacket:
 
 
 def overlap_quadrature(p1: WavePacket, p2: WavePacket) -> OverlapResult:
-    """Delta = integral conj(F2) F1 dnu by adaptive quadrature.
+    """Delta = integral F1 F2 dnu by adaptive quadrature, for two packets of one kind.
 
     Integrates over the intersection of the two supports, each 15 widths
     either side of its peak.  Outside it one packet is below e^-56 of
@@ -270,51 +268,54 @@ def overlap_quadrature(p1: WavePacket, p2: WavePacket) -> OverlapResult:
     QUADPACK's 21-point rule (G10/K21 nodes and weights, qk21 error
     estimate; see _gk21), stopped once the summed panel error estimate
     is at most max(1e-13, 1e-13 |Delta|) or 200 panels are reached; its
-    absolute integration error lands well under 1e-13.  Other pairs use
-    trapezoids on the tabulated grid.
+    absolute integration error lands well under 1e-13.  A tabulated pair
+    uses trapezoids on the larger of the two grids.  A mixed pair raises
+    TypeError.
     """
+    if type(p1) is not type(p2):
+        raise TypeError(f"overlap_quadrature needs two packets of one kind, got {type(p1).__name__}"
+                        f" and {type(p2).__name__}")
     s1, s2 = p1.support(), p2.support()
     if s1[1] < s2[0] or s2[1] < s1[0]:  # disjoint supports
         return OverlapResult(delta=0.0, q=1.0, abserr=0.0)
+    if isinstance(p1, TabulatedPacket):
+        return _overlap_tabulated(p1, p2)
 
-    if isinstance(p1, GaussianPacket) and isinstance(p2, GaussianPacket):
-        import numpy as np
+    import numpy as np
 
-        # Quadrature nodes at absolute frequencies near a 1e14 Hz peak
-        # are quantized in ~0.06 Hz steps, a visible fraction of a MHz
-        # line, which caps the achievable accuracy near 1e-9.  Work in
-        # offsets from the peak midpoint instead: the peak offsets are
-        # exact (the peaks bracket their own midpoint within a factor
-        # of two) and node granularity shrinks to ~1e-14 of a width.
-        center = 0.5 * (p1.peak_hz + p2.peak_hz)
-        d1 = p1.peak_hz - center
-        d2 = p2.peak_hz - center
-        norm = (2.0 * math.pi * p1.width_hz * p2.width_hz) ** -0.5
-        half1 = 2.0 * p1.width_hz
-        half2 = 2.0 * p2.width_hz
+    # Quadrature nodes at absolute frequencies near a 1e14 Hz peak
+    # are quantized in ~0.06 Hz steps, a visible fraction of a MHz
+    # line, which caps the achievable accuracy near 1e-9.  Work in
+    # offsets from the peak midpoint instead: the peak offsets are
+    # exact (the peaks bracket their own midpoint within a factor
+    # of two) and node granularity shrinks to ~1e-14 of a width.
+    center = 0.5 * (p1.peak_hz + p2.peak_hz)
+    d1 = p1.peak_hz - center
+    d2 = p2.peak_hz - center
+    norm = (2.0 * math.pi * p1.width_hz * p2.width_hz) ** -0.5
+    half1 = 2.0 * p1.width_hz
+    half2 = 2.0 * p2.width_hz
 
-        def integrand(u: np.ndarray) -> np.ndarray:
-            z1 = (u - d1) / half1
-            z2 = (u - d2) / half2
-            return norm * np.exp(-z1 * z1 - z2 * z2)
+    def integrand(u: np.ndarray) -> np.ndarray:
+        z1 = (u - d1) / half1
+        z2 = (u - d2) / half2
+        return norm * np.exp(-z1 * z1 - z2 * z2)
 
-        lo = max(s1[0], s2[0]) - center
-        hi = min(s1[1], s2[1]) - center
-        peaks = sorted({d for d in (d1, d2) if lo < d < hi})
-        edges = [lo, hi]
-        if peaks:
-            # Break at the peaks, and seed each outer segment with the
-            # three halvings toward its peak that bisection would make.
-            # Between peaks more than two widths apart the product peaks
-            # away from both breakpoints, so that segment is quartered.
-            inner = peaks
-            if peaks[-1] - peaks[0] > 2.0 * min(p1.width_hz, p2.width_hz):
-                inner = list(np.linspace(peaks[0], peaks[1], 5))
-            edges = _halvings(lo, peaks[0]) + inner + _halvings(hi, peaks[-1])[::-1]
-        value, err = _gk21(integrand, edges)
-        return OverlapResult(delta=value, q=mismatch_q(value), abserr=err)
-
-    return _overlap_tabulated(p1, p2)
+    lo = max(s1[0], s2[0]) - center
+    hi = min(s1[1], s2[1]) - center
+    peaks = sorted({d for d in (d1, d2) if lo < d < hi})
+    edges = [lo, hi]
+    if peaks:
+        # Break at the peaks, and seed each outer segment with the
+        # three halvings toward its peak that bisection would make.
+        # Between peaks more than two widths apart the product peaks
+        # away from both breakpoints, so that segment is quartered.
+        inner = peaks
+        if peaks[-1] - peaks[0] > 2.0 * min(p1.width_hz, p2.width_hz):
+            inner = list(np.linspace(peaks[0], peaks[1], 5))
+        edges = _halvings(lo, peaks[0]) + inner + _halvings(hi, peaks[-1])[::-1]
+    value, err = _gk21(integrand, edges)
+    return OverlapResult(delta=value, q=mismatch_q(value), abserr=err)
 
 
 def _halvings(a: float, b: float) -> list[float]:
@@ -378,28 +379,20 @@ def _qk21(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kronrod * half, np.maximum(err, 50.0 * _EPS * resabs)
 
 
-def _overlap_tabulated(p1: WavePacket, p2: WavePacket) -> OverlapResult:
-    import numpy as np
-
-    # use the tabulated grid (or the finer of the two) as the common grid
-    if isinstance(p1, TabulatedPacket) and isinstance(p2, TabulatedPacket):
-        grid = p1.freq_hz if p1.freq_hz.size >= p2.freq_hz.size else p2.freq_hz
-    elif isinstance(p1, TabulatedPacket):
-        grid = p1.freq_hz
-    else:
-        grid = p2.freq_hz
+def _overlap_tabulated(p1: TabulatedPacket, p2: TabulatedPacket) -> OverlapResult:
+    # the larger of the two grids, inside both supports, is the common grid
+    grid = p1.freq_hz if p1.freq_hz.size >= p2.freq_hz.size else p2.freq_hz
     lo = max(p1.support()[0], p2.support()[0])
     hi = min(p1.support()[1], p2.support()[1])
     grid = grid[(grid >= lo) & (grid <= hi)]
     if grid.size < 4:
         return OverlapResult(delta=0.0, q=1.0, abserr=0.0)
-    f = np.conj(p2.amplitude(grid)) * p1.amplitude(grid)
-    fine = complex(_trapezoid(f, grid))
-    coarse = complex(_trapezoid(f[::2], grid[::2]))
+    f = p2.amplitude(grid) * p1.amplitude(grid)
+    fine = float(_trapezoid(f, grid))
+    coarse = float(_trapezoid(f[::2], grid[::2]))
     err = abs(fine - coarse) / 3.0  # Richardson gap between h and 2h
-    mag = abs(fine)
-    if mag > 1.0:  # roundoff or resampling overshoot; clip to the unit disc
-        fine = fine / mag * min(mag, 1.0 + 1e-13)
+    # roundoff or resampling overshoot past |Delta| = 1 is clipped
+    fine = min(max(fine, -1.0 - 1e-13), 1.0 + 1e-13)
     return OverlapResult(delta=fine, q=mismatch_q(fine), abserr=err)
 
 
@@ -457,56 +450,36 @@ def _overlap_at_ratio(terms: _ShiftTerms, ratio: float) -> tuple[float, float]:
 
 
 def read_packet_csv(path) -> TabulatedPacket:
-    """Load a tabulated packet from CSV.
+    """Load a tabulated packet from the CSV that write_packet_csv writes.
 
-    Expected header: frequency_hz, amplitude_real and optionally
-    amplitude_imag.  The packet must already be normalized.  A row that
-    is short of a column or holds a cell that is not a number raises
-    ValueError naming its line; blank lines are skipped.
+    The header is frequency_hz,amplitude_real and each row holds those two
+    numbers.  The packet must already be normalized.  A row that is not
+    two cells or holds a cell that is not a number raises ValueError
+    naming its line; blank lines are skipped.
     """
     freqs: list[float] = []
-    reals: list[float] = []
-    imags: list[float] = []
+    amps: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        fields = next(reader, [])
-        if "frequency_hz" not in fields or "amplitude_real" not in fields:
-            raise ValueError(
-                "packet CSV needs columns frequency_hz, amplitude_real"
-                f"[, amplitude_imag]; got {fields}"
-            )
-        # a repeated column name means its last column, as csv.DictReader reads it
-        index = {name: i for i, name in enumerate(fields)}
-        freq_col, re_col = index["frequency_hz"], index["amplitude_real"]
-        im_col = index.get("amplitude_imag")
-        width = max(freq_col, re_col, -1 if im_col is None else im_col) + 1
+        header = next(reader, [])
+        if header != _CSV_HEADER:
+            raise ValueError(f"packet CSV needs the header {','.join(_CSV_HEADER)}; got {header}")
         for row in reader:
             if not row:
                 continue
             try:
-                if len(row) < width:
-                    raise ValueError(f"expected {width} cells, got {len(row)}")
-                freqs.append(float(row[freq_col]))
-                reals.append(float(row[re_col]))
-                if im_col is not None:
-                    imags.append(float(row[im_col]))
+                if len(row) != 2:
+                    raise ValueError(f"expected 2 cells, got {len(row)}")
+                freqs.append(float(row[0]))
+                amps.append(float(row[1]))
             except ValueError as exc:
                 raise ValueError(f"packet CSV line {reader.line_num}: {exc}") from None
-    return TabulatedPacket(freqs, list(map(complex, reals, imags)) if im_col is not None else reals)
+    return TabulatedPacket(freqs, amps)
 
 
-def write_packet_csv(packet: WavePacket, path) -> None:
-    """Write a packet as CSV (Gaussians are sampled onto their support grid)."""
-    tab = packet if isinstance(packet, TabulatedPacket) else tabulate(packet)
-    has_imag = bool((tab.amp.imag != 0.0).any())
+def write_packet_csv(packet: TabulatedPacket, path) -> None:
+    """Write a tabulated packet as CSV, each float in its round-trip repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["frequency_hz", "amplitude_real"]
-        if has_imag:
-            header.append("amplitude_imag")
-        writer.writerow(header)
-        for nu, a in zip(tab.freq_hz, tab.amp):
-            row = [repr(float(nu)), repr(float(a.real))]
-            if has_imag:
-                row.append(repr(float(a.imag)))
-            writer.writerow(row)
+        writer.writerow(_CSV_HEADER)
+        writer.writerows([repr(float(nu)), repr(float(a))] for nu, a in zip(packet.freq_hz, packet.amp))

@@ -223,7 +223,8 @@ def test_criterion_09_cv_invariance():
         (EARTH, GROUND, ISS),
         (EARTH, GROUND, FAR),
     ]
-    rows = curvature_invariance_report(HomodynePrep(alpha=0.5, beta=90.0), scenarios)
+    rows = curvature_invariance_report(HomodynePrep(alpha=0.5, beta=90.0), scenarios,
+                                       packet=GaussianPacket(700e12, 1e6))
     assert all(row["pass"] for row in rows)
     assert len({(row["x"], row["v"]) for row in rows}) == 1
     worst = max(abs(row["overlap"] - 1.0) for row in rows)

@@ -37,7 +37,8 @@ from gravlink import (
     tmss_fidelity,
 )
 from gravlink.scenario import (_ROW_BLOCK, RESULT_FIELDS, SOURCE_PRESETS, STATION_PRESETS, _parse_body,
-                               _parse_source, _parse_station, parse_config, render_json, sweep)
+                               _parse_monte_carlo, _parse_protocol, _parse_source, _parse_station, parse_config,
+                               render_json, sweep)
 
 LEO_CONFIG = {
     "body": "earth",
@@ -640,14 +641,33 @@ class TestOneRulePerInput:
              ["sweep", "{config}", "--parameter", "bogus", "--grid", "0.5"]),
             (lambda: render_json({}, 0), "precision", None, ["redshift", "--receiver", "iss", "--precision", "0"]),
             (lambda: render_json({}, 18), "precision", None, ["redshift", "--receiver", "iss", "--precision", "18"]),
+            (lambda: _parse_body({"mass_kg": "abc", "radius_m": 6e6}), "body.mass_kg",
+             {"body": {"mass_kg": "abc", "radius_m": 6e6}},
+             ["redshift", "--mass-kg", "abc", "--body-radius-m", "6e6", "--receiver-radius-m", "7e6"]),
+            (lambda: _parse_station(_parse_body("earth"), {"radius_m": "abc"}, "emitter"), "emitter.radius_m",
+             {"emitter": {"radius_m": "abc"}}, ["redshift", "--emitter-radius-m", "abc", "--receiver", "iss"]),
+            (lambda: _parse_source({"peak_hz": 7e14, "width_hz": "abc"}, "lo"), "lo.width_hz", None,
+             ["cv-homodyne", "--alpha", "1", "--beta", "20", "--lo-peak-hz", "7e14", "--lo-width-hz", "abc"]),
+            (lambda: _parse_protocol({"kind": "cv_homodyne", "alpha": "abc", "beta": 1.0}), "protocol.alpha",
+             {"protocol": {"kind": "cv_homodyne", "alpha": "abc", "beta": 1.0}},
+             ["cv-homodyne", "--alpha", "abc", "--beta", "1"]),
+            (lambda: _parse_monte_carlo({"trials": "abc", "seed": 12345}), "monte_carlo.trials",
+             {"monte_carlo": {"trials": "abc", "seed": 12345}}, ["qber", "--q", "0.1", "--trials", "abc"]),
         ],
-        ids=["body", "receiver", "receiver-motion", "source", "sweep-parameter", "precision-0", "precision-18"],
+        ids=["body", "receiver", "receiver-motion", "source", "sweep-parameter", "precision-0", "precision-18",
+             "mass-kg", "emitter-radius-m", "lo-width-hz", "alpha", "trials"],
     )
     def test_flag_values(self, gravlink, leo_config, rule, field, config, argv):
         # argparse checks none of these values: each reaches the rule a config
         # meets, and a bad one prints that rule's line and no usage block
         self._one_rule(gravlink, rule, field, field, config and dict(self._LINK, **config),
                        [arg.format(config=leo_config) for arg in argv])
+
+    def test_number_flags_read_like_config_numbers(self, gravlink):
+        # a config takes "trials": 2e4 and "seed": 3.0, and so does a flag
+        spelled = gravlink("qber", "--q", "0.1", "--trials", "2e4", "--seed", "3.0")
+        assert spelled.returncode == 0, spelled.stderr
+        assert spelled.stdout == gravlink("qber", "--q", "0.1", "--trials", "20000", "--seed", "3").stdout
 
     @pytest.mark.parametrize("count", [0, 100_001])
     def test_sweep_grid_size(self, gravlink, leo_config, count):

@@ -20,6 +20,8 @@ GROUND = Observer(6_371_000.0)
 ISS = Observer(6_771_000.0, Motion.CIRCULAR_ORBIT)
 FAR = Observer(math.inf)
 
+SPDC = GaussianPacket(700e12, 1e6)
+
 TRIO = [(FLAT, GROUND, Observer(6_771_000.0)), (EARTH, GROUND, ISS), (EARTH, GROUND, FAR)]
 
 
@@ -94,7 +96,7 @@ def test_prep_validation():
 
 
 def test_invariance_across_scenarios():
-    rows = curvature_invariance_report(HomodynePrep(alpha=0.5, beta=90.0), TRIO)
+    rows = curvature_invariance_report(HomodynePrep(alpha=0.5, beta=90.0), TRIO, packet=SPDC)
     assert [row["scenario"] for row in rows] == [0, 1, 2]
     assert all(row["pass"] for row in rows)
     assert len({(row["x"], row["v"]) for row in rows}) == 1
@@ -118,7 +120,8 @@ def test_nan_quadrature_passes_on_the_overlap_alone():
     # the flag rests on the overlap, not on comparing X with a first row;
     # the links are cv-homodyne's three
     prep = HomodynePrep(alpha=1e300 + 1e300j, beta=1e300 - 1e300j)
-    rows = curvature_invariance_report(prep, [(FLAT, GROUND, ISS), (EARTH, GROUND, ISS), (EARTH, GROUND, FAR)])
+    links = [(FLAT, GROUND, ISS), (EARTH, GROUND, ISS), (EARTH, GROUND, FAR)]
+    rows = curvature_invariance_report(prep, links, packet=SPDC)
     for row in rows:
         assert abs(row["overlap"] - 1.0) <= 1e-12
         assert math.isnan(row["x"])
@@ -130,6 +133,7 @@ def test_mismatched_lo_is_refused():
     rows = curvature_invariance_report(
         HomodynePrep(alpha=0.5, beta=90.0),
         TRIO,
+        packet=SPDC,
         lo_packet=GaussianPacket(700.00001e12, 1e6),
     )
     for row in rows:
@@ -140,4 +144,4 @@ def test_mismatched_lo_is_refused():
 
 
 def test_empty_scenario_list():
-    assert curvature_invariance_report(HomodynePrep(alpha=0.5, beta=90.0), []) == []
+    assert curvature_invariance_report(HomodynePrep(alpha=0.5, beta=90.0), [], packet=SPDC) == []

@@ -4,6 +4,7 @@ for the closed Gaussian form."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -213,21 +214,24 @@ class TestQuadrature:
         assert worst <= 1e-12
 
     def test_mixed_tabulated_and_gaussian(self):
-        res = overlap_quadrature(tabulate(SPDC), SPDC)
-        assert abs(res.delta) == pytest.approx(1.0, abs=1e-10)
-        assert res.abserr is not None
+        # a pair is two Gaussians or two tabulated packets, in either order
+        tab = tabulate(SPDC)
+        for pair in ((tab, SPDC), (SPDC, tab)):
+            with pytest.raises(TypeError, match="^overlap_quadrature needs two packets of one kind, got "):
+                overlap_quadrature(*pair)
 
     def test_tabulated_hermitian_symmetry(self):
+        # two real packets on different grids, 0.3 widths apart: the same
+        # real Delta either way round, on the larger grid
         grid = np.linspace(700e12 - 1.5e7, 700e12 + 1.5e7, 601)
-        phase = 0.7 + 1e-7 * (grid - 700e12)
-        amp = SPDC.amplitude(grid) * np.exp(1j * phase)
-        amp = amp / math.sqrt(float(np.trapezoid(np.abs(amp) ** 2, grid)))
-        p1 = TabulatedPacket(grid, amp)
+        amp = SPDC.amplitude(grid - 3e5)
+        p1 = TabulatedPacket(grid, amp / math.sqrt(float(np.trapezoid(amp**2, grid))))
         p2 = tabulate(SPDC)
-        fwd = overlap_quadrature(p1, p2).delta
-        rev = overlap_quadrature(p2, p1).delta
-        assert fwd == pytest.approx(np.conj(rev), abs=1e-10)
-        assert abs(fwd.imag) > 0.1  # the phase offset actually shows up
+        fwd = overlap_quadrature(p1, p2)
+        rev = overlap_quadrature(p2, p1)
+        assert type(fwd.delta) is float
+        assert (fwd.delta, fwd.q, fwd.abserr) == (rev.delta, rev.q, rev.abserr)
+        assert fwd.delta == pytest.approx(math.exp(-(0.3**2) / 8.0), abs=1e-3)
 
     @given(st.floats(1e12, 9e14), st.floats(150.0, 1e6))
     @settings(max_examples=25, deadline=None)
@@ -456,16 +460,16 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.freq_hz, tab.freq_hz)
         assert np.array_equal(back.amp, tab.amp)
 
-    def test_complex_packet_keeps_imag_column(self, tmp_path):
+    def test_complex_packet_keeps_imag_column(self):
+        # complex samples are refused, a zero imaginary part too: a packet
+        # holds real samples, so its file has one amplitude column
         grid = np.linspace(700e12 - 1.5e7, 700e12 + 1.5e7, 601)
         amp = SPDC.amplitude(grid) * np.exp(1j * 1e-7 * (grid - 700e12))
         amp = amp / math.sqrt(float(np.trapezoid(np.abs(amp) ** 2, grid)))
-        path = tmp_path / "complex.csv"
-        write_packet_csv(TabulatedPacket(grid, amp), path)
-        header = path.read_text().splitlines()[0]
-        assert header == "frequency_hz,amplitude_real,amplitude_imag"
-        back = read_packet_csv(path)
-        assert np.array_equal(back.amp, amp)
+        tab = tabulate(SPDC)
+        for freq, samples in ((grid, amp), (tab.freq_hz, tab.amp.astype(complex))):
+            with pytest.raises(ValueError, match=r"^amp: must be real samples$"):
+                TabulatedPacket(freq, samples)
 
     def test_unnormalized_file_is_rejected(self, tmp_path):
         path = tmp_path / "scaled.csv"
@@ -516,7 +520,15 @@ class TestCsvRoundTrip:
             read_packet_csv(path)
 
     def test_missing_imag_cell_names_its_line(self, tmp_path):
-        path = tmp_path / "complex.csv"
-        path.write_text("frequency_hz,amplitude_real,amplitude_imag\n1.0,0.5,0.0\n2.0,0.5\n")
-        with pytest.raises(ValueError, match=r"^packet CSV line 3: expected 3 cells, got 2$"):
+        # a file has write_packet_csv's header, not a three-column or a reordered one
+        path = tmp_path / "other.csv"
+        for header in (["frequency_hz", "amplitude_real", "amplitude_imag"], ["amplitude_real", "frequency_hz"]):
+            path.write_text(",".join(header) + "\n1.0,0.5,0.0\n2.0,0.5\n")
+            message = f"packet CSV needs the header frequency_hz,amplitude_real; got {header}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read_packet_csv(path)
+
+    def test_long_row_names_its_line(self, tmp_path):
+        path = self._damaged(tmp_path, 7, "700000000000000.0,0.5,0.0")
+        with pytest.raises(ValueError, match=r"^packet CSV line 8: expected 2 cells, got 3$"):
             read_packet_csv(path)
