@@ -18,7 +18,7 @@ from .fidelity import _check_amplitude, _square
 from .spacetime import Body, Observer, redshift_total
 from .wavepacket import WavePacket, overlap_quadrature, propagate_packet
 
-__all__ = ["HomodynePrep", "HomodyneResult", "homodyne_expectation", "curvature_invariance_report"]
+__all__ = ["HomodynePrep", "homodyne_expectation", "curvature_invariance_report"]
 
 # |beta| must dominate |alpha| by this factor before V drops the signal term
 _LO_DOMINANCE = 10.0
@@ -40,23 +40,14 @@ class HomodynePrep:
         _check_amplitude("beta", self.beta)
 
 
-@dataclass(frozen=True)
-class HomodyneResult:
-    """Quadrature expectation x, working variance v, and the exact
-    variance 2(|beta|^2 + |alpha|^2) before the strong-LO approximation."""
+def homodyne_expectation(prep: HomodynePrep) -> dict:
+    """X = beta (alpha* + alpha) = 2 beta Re alpha and V = 2 beta^2, as the
+    dict {"x", "v", "exact_v"} that a cv_homodyne result's extras hold.
 
-    x: float
-    v: float
-    exact_v: float
-
-
-def homodyne_expectation(prep: HomodynePrep) -> HomodyneResult:
-    """X = beta (alpha* + alpha) = 2 beta Re alpha, V = 2 beta^2.
-
-    The variance keeps its exact value 2(|beta|^2 + |alpha|^2) unless
-    the LO dominates (|beta| >= 10 |alpha|), where the usual 2 beta^2
-    shot-noise form applies.  Values beyond the float range come back
-    infinite.
+    exact_v is the exact variance 2(|beta|^2 + |alpha|^2); v keeps it
+    unless the LO dominates (|beta| >= 10 |alpha|), where the usual
+    2 beta^2 shot-noise form applies.  Values beyond the float range
+    come back infinite.
     """
     alpha = complex(prep.alpha)
     beta = complex(prep.beta)
@@ -68,7 +59,7 @@ def homodyne_expectation(prep: HomodynePrep) -> HomodyneResult:
     a2 = _square(abs(alpha))
     exact_v = 2.0 * (b2 + a2)
     v = 2.0 * b2 if abs(beta) >= _LO_DOMINANCE * abs(alpha) else exact_v
-    return HomodyneResult(x=x, v=v, exact_v=exact_v)
+    return {"x": x, "v": v, "exact_v": exact_v}
 
 
 def curvature_invariance_report(
@@ -97,6 +88,6 @@ def curvature_invariance_report(
         received = overlap_quadrature(propagate_packet(packet, chi), propagate_packet(lo_packet, chi))
         overlap = float(abs(received.delta))
         ok = abs(overlap - 1.0) <= 1e-12
-        x, v = (homodyne.x, homodyne.v) if ok else (None, None)
+        x, v = (homodyne["x"], homodyne["v"]) if ok else (None, None)
         rows.append({"scenario": idx, "chi": chi, "overlap": overlap, "x": x, "v": v, "pass": ok})
     return rows

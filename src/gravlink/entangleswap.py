@@ -90,9 +90,6 @@ class FockVector:
                 clean[tuple(key)] = amp
         self.amplitudes = clean
 
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
     def __len__(self) -> int:
         return len(self.amplitudes)
 

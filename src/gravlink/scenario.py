@@ -280,8 +280,7 @@ _GEOMETRY_TAGS = {
 # one extras dict per protocol, shared by a sweep's points and never written to
 @functools.lru_cache(maxsize=1)
 def _homodyne_extras(alpha: float, beta: float) -> dict:
-    hom = homodyne_expectation(HomodynePrep(alpha=alpha, beta=beta))
-    return {"x": hom.x, "v": hom.v, "exact_v": hom.exact_v}
+    return homodyne_expectation(HomodynePrep(alpha=alpha, beta=beta))
 
 
 # The protocol kinds, in the order config errors list them, each with its

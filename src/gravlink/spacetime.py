@@ -92,11 +92,6 @@ class Body:
         # r_s = 2GM/c^2
         return 2.0 * G * self.mass / (C * C)
 
-    @property
-    def geometric_mass(self) -> float:
-        # M in meters, GM/c^2
-        return G * self.mass / (C * C)
-
 
 @dataclass(frozen=True)
 class Observer:
@@ -130,18 +125,18 @@ def _check_above_horizon(rs: float, r: float) -> None:
 
 
 def _log_rate_factor(body: Body, obs: Observer) -> float:
-    """log of the station's clock-rate factor 1/(u^t)^2: 1 - 2M/r static,
-    1 - 3M/r on a circular orbit (Omega^2 = M/r^3)."""
-    _check_above_horizon(body.schwarzschild_radius, obs.radius)
-    mu = body.geometric_mass
+    """log of the station's clock-rate factor 1/(u^t)^2: 1 - r_s/r static,
+    1 - 1.5 r_s/r on a circular orbit (Omega^2 = M/r^3, M = r_s/2)."""
+    rs = body.schwarzschild_radius
+    _check_above_horizon(rs, obs.radius)
     if obs.motion is Motion.CIRCULAR_ORBIT:
-        x = 3.0 * mu / obs.radius
+        x = 1.5 * rs / obs.radius
         if x >= 1.0:
             raise PhotonSphereError(
-                f"a circular orbit needs r > 1.5 r_s = {3.0 * mu} m, got {obs.radius}"
+                f"a circular orbit needs r > 1.5 r_s = {1.5 * rs} m, got {obs.radius}"
             )
         return math.log1p(-x)
-    return math.log1p(-2.0 * mu / obs.radius)
+    return math.log1p(-rs / obs.radius)
 
 
 def _link_shift(body: Body, emitter: Observer, receiver: Observer) -> tuple[float, float]:

@@ -127,7 +127,7 @@ class GaussianPacket:
     def support(self) -> tuple[float, float]:
         lo = self.peak_hz - SUPPORT_SIGMAS * self.width_hz
         hi = self.peak_hz + SUPPORT_SIGMAS * self.width_hz
-        return max(0.0, lo), hi
+        return lo, hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,20 +153,18 @@ class TabulatedPacket:
         freq = np.asarray(self.freq_hz, dtype=float)
         amp = np.asarray(self.amp, dtype=float)
         if freq.ndim != 1 or freq.size < 4:
-            raise ValueError("freq_hz must be a 1-d grid with at least 4 points")
+            raise ValueError("freq_hz: must be a 1-d grid of at least 4 points")
         if amp.shape != freq.shape:
-            raise ValueError("amp and freq_hz must have the same shape")
+            raise ValueError("amp: must have the shape of freq_hz")
         if not np.all(np.diff(freq) > 0.0):
-            raise ValueError("freq_hz must be strictly increasing")
+            raise ValueError("freq_hz: must be strictly increasing")
         if freq[0] < 0.0:
-            raise ValueError("freq_hz must be non-negative")
+            raise ValueError("freq_hz: must be non-negative")
         object.__setattr__(self, "freq_hz", freq)
         object.__setattr__(self, "amp", amp)
         norm = total_probability(self)
         if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails too
-            raise ValueError(
-                f"packet is not normalized: integral |F|^2 = {norm!r} (tolerance 1e-10)"
-            )
+            raise ValueError(f"amp: not normalized, integral |F|^2 = {norm!r} (tolerance 1e-10)")
 
     def amplitude(self, nu):
         import numpy as np

@@ -18,6 +18,7 @@ from gravlink import (
     Observer,
     coordinate_travel_time,
     curvature_invariance_report,
+    homodyne_expectation,
     load_config,
     overlap_gaussian_closed,
     redshift_total,
@@ -260,7 +261,7 @@ class TestParsing:
     def test_photon_sphere_bound_is_the_geometry_bound(self):
         # the validator rejects exactly the orbits spacetime refuses
         body = Body(mass=1e30, radius=1700.0)
-        sphere = 3.0 * body.geometric_mass
+        sphere = 1.5 * body.schwarzschild_radius
         for radius in (sphere, math.nextafter(sphere, 0.0), math.nextafter(sphere, math.inf)):
             cfg = dict(base_config(), **COMPACT_LINK, receiver={"radius_m": radius, "motion": "orbit"})
             receiver = Observer(radius, Motion.CIRCULAR_ORBIT)
@@ -509,6 +510,14 @@ class TestSweep:
             assert row.chi is None and row.negativity is None
         # built once per protocol: the points share one dict, as results without extras do
         assert len({id(row.extras) for row in rows}) == 1
+
+    def test_cv_extras_are_the_homodyne_figures(self):
+        # the extras dict is homodyne_expectation's own, shared by every point of a link sweep
+        sc = parse_config(dict(base_config(), protocol=CV_PROTOCOL))
+        extras = run_scenario(sc).extras
+        assert extras == homodyne_expectation(HomodynePrep(alpha=0.5, beta=90.0))
+        assert list(extras) == ["x", "v", "exact_v"]
+        assert all(row.extras is extras for row in sweep(sc, "receiver_radius_m", [7e6, 4.2e7, 1e9]))
 
     @pytest.mark.parametrize(
         "parameter, grid, message",

@@ -27,7 +27,7 @@ from gravlink import (
     redshift_total,
     shift_parameter,
 )
-from gravlink.spacetime import _tortoise
+from gravlink.spacetime import _log_rate_factor, _tortoise
 
 EARTH = Body(mass=5.972e24, radius=6_371_000.0)
 FLAT = Body(mass=0.0, radius=6_371_000.0)
@@ -55,7 +55,7 @@ def test_constants():
 
 def test_schwarzschild_radius():
     assert EARTH.schwarzschild_radius == pytest.approx(RS_EARTH, rel=1e-15)
-    assert EARTH.schwarzschild_radius == 2.0 * EARTH.geometric_mass
+    assert EARTH.schwarzschild_radius == 2.0 * G * EARTH.mass / (C * C)
     assert FLAT.schwarzschild_radius == 0.0
 
 
@@ -180,6 +180,25 @@ def test_orbit_inside_photon_sphere_rejected():
     # an orbiting emitter meets the same bound
     with pytest.raises(PhotonSphereError):
         shift_parameter(heavy, inner, Observer(2.0 * rs))
+
+
+@given(
+    st.floats(1e-280, 1e40) | st.floats(-280.0, 40.0).map(lambda e: 10.0**e),
+    st.floats(math.log(1.5000001), math.log(1e30)),
+    st.sampled_from(list(Motion)),
+)
+@settings(max_examples=300, deadline=None)
+def test_rate_factor_from_r_s_keeps_the_bytes_of_gm(mass, u, motion):
+    # r_s = 2 GM/c^2 exactly while GM/c^2 is a normal float, so 1 - r_s/r
+    # and 1 - 1.5 r_s/r are bit for bit 1 - 2M/r and 1 - 3M/r
+    mu = G * mass / (C * C)
+    body = Body(mass=mass, radius=max(2e4 * mu, 1.0))
+    r = 2.0 * mu * math.exp(u)
+    if motion is Motion.STATIC:
+        expected = math.log1p(-2.0 * (G * mass / (C * C)) / r)
+    else:
+        expected = math.log1p(-3.0 * (G * mass / (C * C)) / r)
+    assert _log_rate_factor(body, Observer(r, motion)) == expected
 
 
 def _u_t(body: Body, obs: Observer) -> mpmath.mpf:

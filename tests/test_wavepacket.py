@@ -414,16 +414,18 @@ def test_gaussian_packet_validation():
 def test_tabulated_packet_validation():
     grid = np.linspace(699.9e12, 700.1e12, 201)
     amp = SPDC.amplitude(grid)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^freq_hz: must be a 1-d grid of at least 4 points$"):
         TabulatedPacket(grid[:3], amp[:3])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^amp: must have the shape of freq_hz$"):
         TabulatedPacket(grid, amp[:-1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^freq_hz: must be strictly increasing$"):
         TabulatedPacket(grid[::-1], amp)
-    with pytest.raises(ValueError, match="not normalized"):
+    with pytest.raises(ValueError, match=r"^freq_hz: must be non-negative$"):
+        TabulatedPacket(np.linspace(-1.0, 2.0, 4), np.full(4, 1.0 / math.sqrt(3.0)))
+    with pytest.raises(ValueError, match=r"^amp: not normalized, integral \|F\|\^2 = \S+ \(tolerance 1e-10\)$"):
         TabulatedPacket(grid, 2.0 * amp)
-    with pytest.raises(ValueError, match="not normalized"):  # a NaN norm
-        TabulatedPacket(grid, np.full(grid.size, np.nan))
+    with pytest.raises(ValueError, match=r"^amp: not normalized, integral \|F\|\^2 = nan \(tolerance 1e-10\)$"):
+        TabulatedPacket(grid, np.full(grid.size, np.nan))  # a NaN norm
 
 
 def test_overlap_result_validation():
