@@ -4,7 +4,6 @@ from gravlink import (
     Body,
     GaussianPacket,
     HomodynePrep,
-    Motion,
     Observer,
     curvature_invariance_report,
 )
@@ -14,7 +13,7 @@ GROUND = Observer(radius=6_371_000.0)
 
 SCENARIOS = [
     ("flat space", Body(mass=0.0, radius=1.0), Observer(1.0), Observer(2.0)),
-    ("ground -> ISS", EARTH, GROUND, Observer(6_771_000.0, Motion.CIRCULAR_ORBIT)),
+    ("ground -> ISS", EARTH, GROUND, Observer(6_771_000.0, "orbit")),
     ("ground -> far field", EARTH, GROUND, Observer(float("inf"))),
 ]
 

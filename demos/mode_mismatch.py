@@ -5,7 +5,6 @@ import numpy as np
 from gravlink import (
     Body,
     GaussianPacket,
-    Motion,
     Observer,
     ShiftParameter,
     Sign,
@@ -19,7 +18,7 @@ EARTH = Body(mass=5.972e24, radius=6_371_000.0)
 GROUND = Observer(radius=6_371_000.0)
 
 LINKS = [
-    ("ground -> ISS", Observer(6_771_000.0, Motion.CIRCULAR_ORBIT)),
+    ("ground -> ISS", Observer(6_771_000.0, "orbit")),
     ("ground -> far field", Observer(float("inf"))),
 ]
 

@@ -3,7 +3,6 @@
 from gravlink import (
     C,
     Body,
-    Motion,
     Observer,
     coordinate_travel_time,
     radius_after,
@@ -13,7 +12,7 @@ from gravlink import (
 
 EARTH = Body(mass=5.972e24, radius=6_371_000.0)
 GROUND = Observer(radius=6_371_000.0)
-ISS = Observer(radius=6_771_000.0, motion=Motion.CIRCULAR_ORBIT)
+ISS = Observer(radius=6_771_000.0, motion="orbit")
 FAR = Observer(radius=float("inf"))
 
 
@@ -39,7 +38,7 @@ def main():
     print(f"zero-shift orbital radius: {r_cross / 1e3:.0f} km "
           f"(altitude {(r_cross - GROUND.radius) / 1e3:.0f} km)")
     for r in (6_771_000.0, r_cross, 2.0 * GROUND.radius):
-        d = shift_parameter(EARTH, GROUND, Observer(r, Motion.CIRCULAR_ORBIT))
+        d = shift_parameter(EARTH, GROUND, Observer(r, "orbit"))
         print(f"  orbit at {r / 1e3:9.1f} km: delta = {d.delta:.3e} {d.sign.value}")
     print()
 

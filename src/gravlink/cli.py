@@ -43,7 +43,7 @@ from .scenario import (
     run_scenario,
     sweep,
 )
-from .spacetime import (Body, ConvergenceError, Motion, Observer, Sign, _link_shift, _sign,
+from .spacetime import (_MOTIONS, Body, ConvergenceError, Observer, Sign, _link_shift, _sign,
                         _signed_shift, coordinate_travel_time)
 from .wavepacket import GaussianPacket, _overlap_at_ratio, _scale_terms, overlap_quadrature
 
@@ -74,7 +74,7 @@ _TAGS = {
     "trials": "Monte Carlo sample count",
     "seed": "generator seed (runs are reproducible)",
     "overlap": "received signal/LO mode overlap (quadrature)",
-    "pass": "overlap is 1 to 1e-12 and (X, V) identical to the first matched row",
+    "pass": "overlap is 1 to 1e-12; X and V are withheld when it is not",
     "reference": "published value, as printed",
     "computed": "recomputed here from presets via the full pipeline",
     "deviation": "|computed - reference| / |reference|",
@@ -148,7 +148,7 @@ def _geometry_parent() -> argparse.ArgumentParser:
         "--receiver", metavar=_one_of(sorted(STATION_PRESETS)), default=None, help="receiver preset"
     )
     group.add_argument("--receiver-radius-m", type=_flag_number, default=None)
-    group.add_argument("--receiver-motion", metavar=_one_of(m.value for m in Motion), default=None)
+    group.add_argument("--receiver-motion", metavar=_one_of(_MOTIONS), default=None)
     return parent
 
 

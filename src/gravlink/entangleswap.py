@@ -297,7 +297,8 @@ def qber_monte_carlo(q: float, trials: int, seed: int) -> float:
     Each trial collapses the two heralded pairs independently: a pair
     reads (+) with probability (1 + sqrt(1-q))/2, and the bits disagree
     exactly when the two pairs collapse to opposite types.  Fixed seed,
-    fixed answer.
+    fixed answer: each chunk of up to 10^6 trials draws all its first-pair
+    uniforms, then all its second-pair ones.
     """
     _check_q(q)
     trials = _check_trials(trials)

@@ -22,7 +22,6 @@ from .cvhomodyne import HomodynePrep, homodyne_expectation
 from .spacetime import (
     Body,
     HorizonError,
-    Motion,
     Observer,
     PhotonSphereError,
     _link_shift,
@@ -72,8 +71,6 @@ STATION_PRESETS: dict[str, dict] = {
     "iss": {"radius_m": 6_771_000.0, "motion": "orbit"},
     "far_field": {"radius_m": math.inf, "motion": "static"},
 }
-_MOTIONS = {motion.value: motion for motion in Motion}
-_MOTION_TEXT = " or ".join(map(repr, _MOTIONS))
 
 
 class Protocol(NamedTuple):
@@ -193,14 +190,9 @@ def _parse_station(body: Body, doc, path: str) -> Observer:
     inside the domain of spacetime's rate factor (horizon, photon sphere)."""
     doc = _mapping(doc, {"radius_m", "motion"}, path, STATION_PRESETS)
     radius = _number(doc, "radius_m", path)
-    motion_raw = doc.get("motion", "static")
-    try:
-        motion = _MOTIONS[motion_raw]
-    except (KeyError, TypeError):  # TypeError: a list or dict
-        raise ConfigError(f"{path}.motion: expected {_MOTION_TEXT}, got {motion_raw!r}") from None
     if not (radius >= body.radius):
         raise ConfigError(f"{path}.radius_m: below the body surface r = {body.radius} m, got {radius}")
-    station = Observer(radius=radius, motion=motion)
+    station = _ruled(path, Observer, radius, doc.get("motion", "static"))
     try:
         _log_rate_factor(body, station)
     except (HorizonError, PhotonSphereError) as exc:
@@ -535,7 +527,7 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> list[Sce
             d = math.sqrt(1.0 - fidelity._check_q(value))
             return ScenarioResult(Delta=d, q=value, **figures(d, value, proto), tags=tags)
     elif parameter == "receiver_radius_m":
-        motion = config.receiver.motion.value
+        motion = config.receiver.motion
 
         def point(value):
             receiver = _parse_station(body, {"radius_m": value, "motion": motion}, "receiver")

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 G = 6.674_30e-11        # m^3 kg^-1 s^-2
 C = 299_792_458.0       # m/s, exact
+_MOTIONS = ("static", "orbit")  # a station at rest, or on a circular orbit
 
 __all__ = [
     "G",
     "C",
-    "Motion",
     "Sign",
     "Body",
     "Observer",
@@ -44,11 +44,6 @@ class PhotonSphereError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """Root finder failed to reach its residual target."""
-
-
-class Motion(enum.Enum):
-    STATIC = "static"
-    CIRCULAR_ORBIT = "orbit"
 
 
 class Sign(enum.Enum):
@@ -95,14 +90,17 @@ class Body:
 
 @dataclass(frozen=True)
 class Observer:
-    """A station at fixed Schwarzschild radial coordinate."""
+    """A station at fixed Schwarzschild radial coordinate, "static" or on a
+    circular "orbit"."""
 
     radius: float
-    motion: Motion = Motion.STATIC
+    motion: str = "static"
 
     def __post_init__(self) -> None:
         if not (self.radius > 0.0):
             raise ValueError(f"radius: must be > 0, got {self.radius}")
+        if self.motion not in _MOTIONS:
+            raise ValueError(f"motion: expected {' or '.join(map(repr, _MOTIONS))}, got {self.motion!r}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ def _log_rate_factor(body: Body, obs: Observer) -> float:
     1 - 1.5 r_s/r on a circular orbit (Omega^2 = M/r^3, M = r_s/2)."""
     rs = body.schwarzschild_radius
     _check_above_horizon(rs, obs.radius)
-    if obs.motion is Motion.CIRCULAR_ORBIT:
+    if obs.motion == "orbit":
         x = 1.5 * rs / obs.radius
         if x >= 1.0:
             raise PhotonSphereError(

@@ -15,7 +15,6 @@ from gravlink import (
     Body,
     GaussianPacket,
     HomodynePrep,
-    Motion,
     Observer,
     ShiftParameter,
     Sign,
@@ -42,7 +41,7 @@ from gravlink.scenario import parse_config
 
 EARTH = Body(mass=5.972e24, radius=6_371_000.0)
 GROUND = Observer(6_371_000.0)
-ISS = Observer(6_771_000.0, Motion.CIRCULAR_ORBIT)
+ISS = Observer(6_771_000.0, "orbit")
 FAR = Observer(math.inf)
 Q_GRID = (0.0, 1e-3, 2.6e-3, 0.1, 0.5, 1.0)
 

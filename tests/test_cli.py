@@ -21,7 +21,6 @@ from gravlink import (
     ConvergenceError,
     GaussianPacket,
     HomodynePrep,
-    Motion,
     Observer,
     OverlapResult,
     coherent_fidelity,
@@ -606,7 +605,7 @@ class TestOneRulePerInput:
     def test_overlap_shift_domain(self, gravlink):
         # an orbit just outside a compact body's photon sphere: delta = 2.38
         body = Body(1e30, 1700.0)
-        shift = shift_parameter(body, Observer(1700.0), Observer(2230.0, Motion.CIRCULAR_ORBIT))
+        shift = shift_parameter(body, Observer(1700.0), Observer(2230.0, "orbit"))
         packet = GaussianPacket(7e14, 1e6)
         with pytest.raises(ValueError) as library:
             overlap_gaussian_closed(packet, shift)

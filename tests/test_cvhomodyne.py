@@ -8,7 +8,6 @@ from gravlink import (
     Body,
     GaussianPacket,
     HomodynePrep,
-    Motion,
     Observer,
     curvature_invariance_report,
     homodyne_expectation,
@@ -17,7 +16,7 @@ from gravlink import (
 EARTH = Body(mass=5.972e24, radius=6_371_000.0)
 FLAT = Body(mass=0.0, radius=6_371_000.0)
 GROUND = Observer(6_371_000.0)
-ISS = Observer(6_771_000.0, Motion.CIRCULAR_ORBIT)
+ISS = Observer(6_771_000.0, "orbit")
 FAR = Observer(math.inf)
 
 SPDC = GaussianPacket(700e12, 1e6)

@@ -198,6 +198,18 @@ def test_monte_carlo_is_deterministic():
     assert a != qber_monte_carlo(0.1, trials=50_000, seed=43)
 
 
+def test_monte_carlo_draw_order_across_chunks():
+    # each chunk of up to 10^6 trials draws all its first-pair uniforms, then
+    # all its second-pair ones: 1.5e6 trials are a chunk of 10^6 and one of 5e5
+    rng = np.random.default_rng(7)
+    p_plus = 0.5 * (1.0 + math.sqrt(1.0 - 0.3))
+    diff = 0
+    for n in (1_000_000, 500_000):
+        first = rng.random(n) < p_plus
+        diff += int(np.count_nonzero(first != (rng.random(n) < p_plus)))
+    assert qber_monte_carlo(0.3, trials=1_500_000, seed=7) == diff / 1_500_000 == 0.14938533333333334
+
+
 def test_monte_carlo_brackets_closed_form():
     trials = 200_000
     est = qber_monte_carlo(0.1, trials=trials, seed=20240817)

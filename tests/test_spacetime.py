@@ -16,7 +16,6 @@ from gravlink import (
     ConvergenceError,
     GaussianPacket,
     HorizonError,
-    Motion,
     Observer,
     PhotonSphereError,
     ShiftParameter,
@@ -35,7 +34,7 @@ R_GROUND = 6_371_000.0
 R_ORBIT = 6_771_000.0
 
 GROUND = Observer(R_GROUND)
-ISS = Observer(R_ORBIT, Motion.CIRCULAR_ORBIT)
+ISS = Observer(R_ORBIT, "orbit")
 ORBIT_STATIC = Observer(R_ORBIT)
 FAR = Observer(math.inf)
 
@@ -101,6 +100,13 @@ def test_observer_validation():
         overlap_gaussian_closed(GaussianPacket(7e14, 1e6), shift)
 
 
+@pytest.mark.parametrize("motion", ["banana", "", None, 1, ["orbit"]])
+def test_observer_motion_is_static_or_orbit(motion):
+    message = f"motion: expected 'static' or 'orbit', got {motion!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Observer(R_ORBIT, motion)
+
+
 def test_redshift_static_ground_to_orbit():
     ratio = redshift_total(EARTH, GROUND, ORBIT_STATIC)
     assert ratio == pytest.approx(1.0 - 4.1122895855362964e-11, abs=5e-16)
@@ -128,7 +134,7 @@ def test_redshift_total_iss_is_net_blueshift():
     [(1.2, True), (1.49, True), (1.51, False), (3.0, False)],
 )
 def test_orbit_blueshift_crossover_at_one_and_a_half(factor, blue):
-    receiver = Observer(factor * R_GROUND, Motion.CIRCULAR_ORBIT)
+    receiver = Observer(factor * R_GROUND, "orbit")
     ratio = redshift_total(EARTH, GROUND, receiver)
     assert (ratio > 1.0) is blue
 
@@ -173,7 +179,7 @@ def test_orbiting_emitter_inverts_the_uplink():
 def test_orbit_inside_photon_sphere_rejected():
     heavy = Body(mass=2e30, radius=5e6)
     rs = heavy.schwarzschild_radius
-    inner = Observer(1.4 * rs, Motion.CIRCULAR_ORBIT)
+    inner = Observer(1.4 * rs, "orbit")
     message = f"a circular orbit needs r > 1.5 r_s = {1.5 * rs} m, got {1.4 * rs}"
     with pytest.raises(PhotonSphereError, match=f"^{re.escape(message)}$"):
         redshift_total(heavy, Observer(2.0 * rs), inner)
@@ -185,7 +191,7 @@ def test_orbit_inside_photon_sphere_rejected():
 @given(
     st.floats(1e-280, 1e40) | st.floats(-280.0, 40.0).map(lambda e: 10.0**e),
     st.floats(math.log(1.5000001), math.log(1e30)),
-    st.sampled_from(list(Motion)),
+    st.sampled_from(("static", "orbit")),
 )
 @settings(max_examples=300, deadline=None)
 def test_rate_factor_from_r_s_keeps_the_bytes_of_gm(mass, u, motion):
@@ -194,7 +200,7 @@ def test_rate_factor_from_r_s_keeps_the_bytes_of_gm(mass, u, motion):
     mu = G * mass / (C * C)
     body = Body(mass=mass, radius=max(2e4 * mu, 1.0))
     r = 2.0 * mu * math.exp(u)
-    if motion is Motion.STATIC:
+    if motion == "static":
         expected = math.log1p(-2.0 * (G * mass / (C * C)) / r)
     else:
         expected = math.log1p(-3.0 * (G * mass / (C * C)) / r)
@@ -208,12 +214,12 @@ def _u_t(body: Body, obs: Observer) -> mpmath.mpf:
     with mpmath.workdps(50):
         mu = mpmath.mpf(G) * mpmath.mpf(body.mass) / mpmath.mpf(C) ** 2
         r = mpmath.mpf(obs.radius)
-        omega2 = mu / r**3 if obs.motion is Motion.CIRCULAR_ORBIT else 0
+        omega2 = mu / r**3 if obs.motion == "orbit" else 0
         return 1 / mpmath.sqrt((1 - 2 * mu / r) - r**2 * omega2)
 
 
-@pytest.mark.parametrize("motion_b", list(Motion), ids=lambda m: m.value)
-@pytest.mark.parametrize("motion_a", list(Motion), ids=lambda m: m.value)
+@pytest.mark.parametrize("motion_b", ("static", "orbit"))
+@pytest.mark.parametrize("motion_a", ("static", "orbit"))
 @pytest.mark.parametrize(
     "r_a, r_b",
     [(R_GROUND, R_ORBIT), (R_ORBIT, R_GROUND), (R_ORBIT, 4.2164e7)],
@@ -303,8 +309,8 @@ def test_static_shift_reciprocity(pair, u_b):
 @given(
     _body_and_radius(min_factor=1.6),
     st.floats(math.log(1.6), math.log(1e9)),
-    st.sampled_from(list(Motion)),
-    st.sampled_from(list(Motion)),
+    st.sampled_from(("static", "orbit")),
+    st.sampled_from(("static", "orbit")),
 )
 @settings(max_examples=200, deadline=None)
 def test_swapping_the_stations_reverses_the_link(pair, u_b, motion_a, motion_b):
