@@ -389,7 +389,7 @@ def _parse_grid(text: str) -> list[float]:
                 raise ConfigError(f"sweep.grid: lin range wider than the largest float, got {text!r}")
             return _linspace(start, stop, count)
         if start <= 0.0 or stop <= 0.0:
-            raise ConfigError("sweep.grid: log range needs positive endpoints")
+            raise ConfigError(f"sweep.grid: log range needs positive endpoints, got {text!r}")
         # np.geomspace: math's log10 and pow can differ from numpy's by an ulp
         import numpy as np
 

@@ -281,26 +281,26 @@ def overlap_quadrature(p1: WavePacket, p2: WavePacket) -> OverlapResult:
 
     import numpy as np
 
-    # Quadrature nodes at absolute frequencies near a 1e14 Hz peak
-    # are quantized in ~0.06 Hz steps, a visible fraction of a MHz
-    # line, which caps the achievable accuracy near 1e-9.  Work in
-    # offsets from the peak midpoint instead: the peak offsets are
-    # exact (the peaks bracket their own midpoint within a factor
-    # of two) and node granularity shrinks to ~1e-14 of a width.
+    # Nodes at absolute frequencies near a 1e14 Hz peak are quantized in
+    # ~0.06 Hz steps, a visible fraction of a MHz line, which caps the
+    # accuracy near 1e-9.  Work in offsets from the peak midpoint (exact:
+    # the peaks bracket it within a factor of two), scaled by the power of
+    # two 2^e that brings the first width into [1/2, 1): no rounding moves,
+    # and norm neither overflows nor underflows at any width.
+    e = -math.frexp(p1.width_hz)[1]
     center = 0.5 * (p1.peak_hz + p2.peak_hz)
-    d1 = p1.peak_hz - center
-    d2 = p2.peak_hz - center
-    norm = (2.0 * math.pi * p1.width_hz * p2.width_hz) ** -0.5
-    half1 = 2.0 * p1.width_hz
-    half2 = 2.0 * p2.width_hz
+    d1, d2 = (math.ldexp(p.peak_hz - center, e) for p in (p1, p2))
+    w1, w2 = (math.ldexp(p.width_hz, e) for p in (p1, p2))
+    norm = (2.0 * math.pi * w1 * w2) ** -0.5
+    half1, half2 = 2.0 * w1, 2.0 * w2
 
     def integrand(u: np.ndarray) -> np.ndarray:
         z1 = (u - d1) / half1
         z2 = (u - d2) / half2
         return norm * np.exp(-z1 * z1 - z2 * z2)
 
-    lo = max(s1[0], s2[0]) - center
-    hi = min(s1[1], s2[1]) - center
+    lo = math.ldexp(max(s1[0], s2[0]) - center, e)
+    hi = math.ldexp(min(s1[1], s2[1]) - center, e)
     peaks = sorted({d for d in (d1, d2) if lo < d < hi})
     edges = [lo, hi]
     if peaks:
@@ -309,7 +309,7 @@ def overlap_quadrature(p1: WavePacket, p2: WavePacket) -> OverlapResult:
         # Between peaks more than two widths apart the product peaks
         # away from both breakpoints, so that segment is quartered.
         inner = peaks
-        if peaks[-1] - peaks[0] > 2.0 * min(p1.width_hz, p2.width_hz):
+        if peaks[-1] - peaks[0] > 2.0 * min(w1, w2):
             inner = list(np.linspace(peaks[0], peaks[1], 5))
         edges = _halvings(lo, peaks[0]) + inner + _halvings(hi, peaks[-1])[::-1]
     value, err = _gk21(integrand, edges)
@@ -442,9 +442,10 @@ def _overlap_at_ratio(terms: _ShiftTerms, ratio: float) -> tuple[float, float]:
     # no shift leaves a packet as sent, even at ratio inf (0 * inf is NaN); a
     # square past the float range is inf, which gives Delta = 0 and q = 1
     arg = _square(delta * ratio) / (4.0 * kk1) if delta else 0.0
-    # log |Delta|^2 keeps q accurate when Delta is within 1e-15 of 1
+    # log |Delta|^2 keeps q accurate when Delta is within 1e-15 of 1, and
+    # log_prefactor <= 0 <= arg keeps it in [0, 1] (never -0.0) unclamped
     q = -math.expm1(log_prefactor - 2.0 * arg)
-    return prefactor * math.exp(-arg), min(max(q, 0.0), 1.0)
+    return prefactor * math.exp(-arg), q
 
 
 def read_packet_csv(path) -> TabulatedPacket:

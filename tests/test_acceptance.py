@@ -126,26 +126,29 @@ def test_criterion_03_far_field_protocol_figures():
 def test_criterion_04_overlap_oracle_equivalence():
     # the shift is snapped to the double-rounded scale factor k = 1 -+ delta
     # and the packet is dyadic, so closed form and quadrature see the exact
-    # same pair of packets; 1000 cases spanning delta from 1e-12 to 1e-6
+    # same pair of packets; cases span delta from 1e-12 to 1e-6, 1000 with
+    # optical peaks and 3000 with peaks from 2^-1000 to 2^990 Hz, whose
+    # widths reach the subnormal floats
     rng = np.random.default_rng(20250819)
     start = time.perf_counter()
     worst = 0.0
-    for _ in range(1000):
-        peak = float(2.0 ** rng.integers(40, 53))
-        width = peak / float(2.0 ** rng.integers(14, 34))
-        raw = 10.0 ** rng.uniform(-12, -6)
-        sign = Sign.UP if rng.random() < 0.5 else Sign.DOWN
-        k = 1.0 - raw if sign is Sign.UP else 1.0 + raw
-        delta = abs(k - 1.0)
-        base = GaussianPacket(peak, width)
-        closed = overlap_gaussian_closed(base, ShiftParameter(delta, sign))
-        quad = overlap_quadrature(base, GaussianPacket(k * peak, k * width))
-        worst = max(worst, abs(quad.delta - closed.delta))
+    for cases, peak_exponents in ((1000, (40, 53)), (3000, (-1000, 991))):
+        for _ in range(cases):
+            peak = float(2.0 ** rng.integers(*peak_exponents))
+            width = peak / float(2.0 ** rng.integers(14, 34))
+            raw = 10.0 ** rng.uniform(-12, -6)
+            sign = Sign.UP if rng.random() < 0.5 else Sign.DOWN
+            k = 1.0 - raw if sign is Sign.UP else 1.0 + raw
+            delta = abs(k - 1.0)
+            base = GaussianPacket(peak, width)
+            closed = overlap_gaussian_closed(base, ShiftParameter(delta, sign))
+            quad = overlap_quadrature(base, GaussianPacket(k * peak, k * width))
+            worst = max(worst, abs(quad.delta - closed.delta))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12
     assert elapsed < 10.0
     print(
-        f"PASS criterion 4: closed vs quadrature, 1000 cases,"
+        f"PASS criterion 4: closed vs quadrature, 4000 cases,"
         f" worst |diff| = {worst:.2e} ({elapsed:.2f} s)"
     )
 

@@ -334,6 +334,21 @@ class TestValidation:
         head = grid.partition(":")[0]
         self._rejected(proc, f"sweep.grid: {head} range needs finite endpoints, got {grid!r}")
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("lin:a:1:3", "sweep.grid: bad lin range 'lin:a:1:3'"),
+            ("log:1:2:x", "sweep.grid: bad log range 'log:1:2:x'"),
+            ("log:0:1:3", "sweep.grid: log range needs positive endpoints, got 'log:0:1:3'"),
+            ("log:1e7:-1:3", "sweep.grid: log range needs positive endpoints, got 'log:1e7:-1:3'"),
+            ("1,x", "sweep.grid: not numbers: '1,x'"),
+        ],
+    )
+    def test_sweep_grid_text_rejections(self, gravlink, leo_config, grid, message):
+        proc = gravlink("sweep", str(leo_config), "--parameter", "width_hz", "--grid", grid)
+        self._rejected(proc, message)
+        assert proc.stderr == f"gravlink: {message}\n"
+
     def test_comma_grids_keep_infinities(self):
         assert cli._parse_grid("1,inf, -inf") == [1.0, math.inf, -math.inf]
 
@@ -846,6 +861,17 @@ class TestOverlap:
         # 1 -+ delta, so they may part at the 1e-9 level, never more
         assert abs(row["Delta_quadrature"] - row["Delta"]) < 5e-9
 
+    @pytest.mark.parametrize(
+        "peak, width", [("1e200", "1e197"), ("1e-159", "1e-162"), ("1e-160", "1e-163")]
+    )
+    def test_quadrature_at_extreme_widths(self, gravlink, peak, width):
+        # norm = (2 pi w1 w2)^-1/2 overflows or underflows unless the
+        # lengths are scaled first
+        (row,) = _rows(gravlink("overlap", "--receiver", "iss", "--peak-hz", peak, "--width-hz", width,
+                                "--quadrature", "--precision", "17"))
+        assert math.isfinite(row["Delta_quadrature"])
+        assert abs(row["Delta_quadrature"] - row["Delta"]) <= 1e-12
+
     def test_geometry_and_delta_conflict(self, gravlink):
         proc = gravlink("overlap", "--receiver", "iss", "--delta", "1e-10")
         assert proc.returncode == 1
@@ -1046,6 +1072,12 @@ class TestCvHomodyne:
         assert proc.returncode == 0, proc.stderr
         rows = json.loads(proc.stdout, parse_constant=refuse)["rows"]
         assert [r["v"] for r in rows] == [None, None, None]
+
+    @pytest.mark.parametrize("peak, width", [("1e200", "1e197"), ("1e-159", "1e-162")])
+    def test_matched_lo_passes_at_extreme_widths(self, gravlink, peak, width):
+        rows = _rows(gravlink("cv-homodyne", "--alpha", "1", "--beta", "30",
+                              "--peak-hz", peak, "--width-hz", width))
+        assert all(r["pass"] for r in rows) and {(r["x"], r["v"]) for r in rows} == {(60.0, 1800.0)}
 
     def test_half_specified_lo_is_rejected(self, gravlink):
         proc = gravlink("cv-homodyne", "--alpha", "0.5", "--beta", "90",

@@ -756,6 +756,18 @@ class TestReferenceTable:
         assert row["verdict"] == "paper-inconsistent"
         assert "1.45e-10" in row["note"]
 
+    def test_a_row_past_its_tolerance_fails(self, monkeypatch):
+        from gravlink import scenario
+
+        # every link read off the ground-to-iss one: the far-field delta is
+        # 59% below its 3.5e-10 reference, far past the 3% tolerance
+        real = scenario._earth_link
+        monkeypatch.setattr(scenario, "_earth_link", lambda receiver, source: real("iss", source))
+        by_name = {r["quantity"]: r for r in reference_table()}
+        assert by_name["delta far-field"]["deviation"] > 0.5
+        assert by_name["delta far-field"]["verdict"] == "fail"
+        assert by_name["delta ground-to-orbit"]["verdict"] == "paper-inconsistent"
+
     def test_mismatch_rows_stay_within_printed_tolerances(self):
         by_name = {r["quantity"]: r for r in reference_table()}
         assert by_name["q ground-to-orbit (spdc_blue)"]["verdict"] == "ok"

@@ -285,6 +285,15 @@ def test_radius_after_degenerate_cases():
         radius_after(EARTH, R_GROUND, -1e-9)
 
 
+def test_radius_after_reports_no_convergence(monkeypatch):
+    from gravlink import spacetime
+
+    # a flat tortoise coordinate never reaches the target r_*(r_0) + c t
+    monkeypatch.setattr(spacetime, "_tortoise", lambda rs, r: 0.0)
+    with pytest.raises(ConvergenceError, match=r"^radius_after did not meet \|residual\| <= .* in 100 iterations"):
+        radius_after(EARTH, R_GROUND, 1e-3)
+
+
 @st.composite
 def _body_and_radius(draw, min_factor=1.01, max_factor=1e9):
     mass = draw(st.floats(1e20, 1e30))

@@ -130,10 +130,12 @@ class TestClosedForm:
     @settings(max_examples=300, deadline=None)
     def test_overlap_at_any_ratio_stays_in_range(self, delta, sign, ratio):
         # the square of delta * ratio overflows past ratio ~ 1e154/delta, and
-        # an infinite ratio times delta = 0 would be NaN
+        # an infinite ratio times delta = 0 would be NaN; q is returned
+        # unclamped, so log_prefactor <= 0 <= arg must keep it in [0, 1]
         k = 1.0 - delta if sign is Sign.UP else 1.0 + delta
         value, q = _overlap_at_ratio(_scale_terms(delta, k), ratio)
         assert 0.0 <= value <= 1.0 and 0.0 <= q <= 1.0
+        assert math.copysign(1.0, q) == 1.0
         if delta == 0.0:
             assert (value, q) == (1.0, 0.0)
 
