@@ -284,11 +284,12 @@ def overlap_quadrature(p1: WavePacket, p2: WavePacket) -> OverlapResult:
     # Nodes at absolute frequencies near a 1e14 Hz peak are quantized in
     # ~0.06 Hz steps, a visible fraction of a MHz line, which caps the
     # accuracy near 1e-9.  Work in offsets from the peak midpoint (exact:
-    # the peaks bracket it within a factor of two), scaled by the power of
-    # two 2^e that brings the first width into [1/2, 1): no rounding moves,
-    # and norm neither overflows nor underflows at any width.
+    # the peaks bracket it within a factor of two; halved before the sum,
+    # which would overflow near the top of the float range), scaled by the
+    # power of two 2^e that brings the first width into [1/2, 1): no
+    # rounding moves, and norm neither overflows nor underflows at any width.
     e = -math.frexp(p1.width_hz)[1]
-    center = 0.5 * (p1.peak_hz + p2.peak_hz)
+    center = 0.5 * p1.peak_hz + 0.5 * p2.peak_hz
     d1, d2 = (math.ldexp(p.peak_hz - center, e) for p in (p1, p2))
     w1, w2 = (math.ldexp(p.width_hz, e) for p in (p1, p2))
     norm = (2.0 * math.pi * w1 * w2) ** -0.5
@@ -300,7 +301,9 @@ def overlap_quadrature(p1: WavePacket, p2: WavePacket) -> OverlapResult:
         return norm * np.exp(-z1 * z1 - z2 * z2)
 
     lo = math.ldexp(max(s1[0], s2[0]) - center, e)
-    hi = math.ldexp(min(s1[1], s2[1]) - center, e)
+    hi = min(s1[1], s2[1])
+    # both supports end past the float range: take the end in the scaled frame
+    hi = math.ldexp(hi - center, e) if hi < math.inf else min(d1 + SUPPORT_SIGMAS * w1, d2 + SUPPORT_SIGMAS * w2)
     peaks = sorted({d for d in (d1, d2) if lo < d < hi})
     edges = [lo, hi]
     if peaks:
@@ -477,8 +480,7 @@ def read_packet_csv(path) -> TabulatedPacket:
 
 
 def write_packet_csv(packet: TabulatedPacket, path) -> None:
-    """Write a tabulated packet as CSV, each float in its round-trip repr."""
+    """Write a tabulated packet as CSV: rows of two float reprs, CRLF-ended, never quoted."""
+    rows = map("%r,%r\r\n".__mod__, zip(packet.freq_hz.tolist(), packet.amp.tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        writer.writerows([repr(float(nu)), repr(float(a))] for nu, a in zip(packet.freq_hz, packet.amp))
+        fh.write(",".join(_CSV_HEADER) + "\r\n" + "".join(rows))

@@ -862,11 +862,14 @@ class TestOverlap:
         assert abs(row["Delta_quadrature"] - row["Delta"]) < 5e-9
 
     @pytest.mark.parametrize(
-        "peak, width", [("1e200", "1e197"), ("1e-159", "1e-162"), ("1e-160", "1e-163")]
+        "peak, width",
+        [("1e200", "1e197"), ("1e-159", "1e-162"), ("1e-160", "1e-163"),
+         ("1e308", "1e305"), ("1.5e308", "1e306"), ("1.7e308", "1e306")],
     )
     def test_quadrature_at_extreme_widths(self, gravlink, peak, width):
         # norm = (2 pi w1 w2)^-1/2 overflows or underflows unless the
-        # lengths are scaled first
+        # lengths are scaled first; past 9e307 Hz the sum of the peaks
+        # overflows, and past 1.56e308 Hz the support ends do
         (row,) = _rows(gravlink("overlap", "--receiver", "iss", "--peak-hz", peak, "--width-hz", width,
                                 "--quadrature", "--precision", "17"))
         assert math.isfinite(row["Delta_quadrature"])
@@ -1073,7 +1076,10 @@ class TestCvHomodyne:
         rows = json.loads(proc.stdout, parse_constant=refuse)["rows"]
         assert [r["v"] for r in rows] == [None, None, None]
 
-    @pytest.mark.parametrize("peak, width", [("1e200", "1e197"), ("1e-159", "1e-162")])
+    @pytest.mark.parametrize(
+        "peak, width",
+        [("1e200", "1e197"), ("1e-159", "1e-162"), ("1e308", "1e305"), ("1.5e308", "1e306"), ("1.7e308", "1e306")],
+    )
     def test_matched_lo_passes_at_extreme_widths(self, gravlink, peak, width):
         rows = _rows(gravlink("cv-homodyne", "--alpha", "1", "--beta", "30",
                               "--peak-hz", peak, "--width-hz", width))

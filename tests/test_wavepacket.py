@@ -3,6 +3,9 @@ for the closed Gaussian form."""
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
 import math
 import re
 
@@ -460,9 +463,32 @@ class TestCsvRoundTrip:
         path = tmp_path / "packet.csv"
         tab = tabulate(SPDC)
         write_packet_csv(tab, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "384841fde6885e4a519859ada9fc9ec7d2f39fa27f2d6a06f1bf9998a917a020"
         back = read_packet_csv(path)
         assert np.array_equal(back.freq_hz, tab.freq_hz)
         assert np.array_equal(back.amp, tab.amp)
+
+    @staticmethod
+    def _csv_writer_text(packet: TabulatedPacket) -> str:
+        """The file text of the csv.writer route that write_packet_csv replaced."""
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["frequency_hz", "amplitude_real"])
+        writer.writerows([repr(float(nu)), repr(float(a))] for nu, a in zip(packet.freq_hz, packet.amp))
+        return buf.getvalue()
+
+    def test_file_is_the_csv_writer_text(self, tmp_path):
+        # tabulated and propagated packets, peak/width from 1e2 to 1e9
+        path = tmp_path / "packet.csv"
+        rng = np.random.default_rng(20261022)
+        for i in range(200):
+            peak = 10 ** rng.uniform(0.0, 15.0)
+            tab = tabulate(GaussianPacket(peak, peak / 10 ** rng.uniform(2.001, 9.0)))
+            if i % 2:
+                tab = propagate_packet(tab, 1.0 + rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12.0, -1.0))
+            write_packet_csv(tab, path)
+            assert path.read_bytes() == self._csv_writer_text(tab).encode()
 
     def test_complex_packet_keeps_imag_column(self):
         # complex samples are refused, a zero imaginary part too: a packet
