@@ -4,9 +4,11 @@ forms it is supposed to certify."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gravlink import (
     FockVector,
@@ -208,6 +210,54 @@ def test_monte_carlo_draw_order_across_chunks():
         first = rng.random(n) < p_plus
         diff += int(np.count_nonzero(first != (rng.random(n) < p_plus)))
     assert qber_monte_carlo(0.3, trials=1_500_000, seed=7) == diff / 1_500_000 == 0.14938533333333334
+
+
+def _qber_whole_chunks(q: float, trials: int, seed: int) -> float:
+    """The sampler's draw order in whole arrays: rng.random(n) < p_plus twice per 10^6 chunk."""
+    rng = np.random.default_rng(seed)
+    p_plus = 0.5 * (1.0 + math.sqrt(1.0 - q))
+    diff = 0
+    for start in range(0, trials, 1_000_000):
+        n = min(1_000_000, trials - start)
+        first = rng.random(n) < p_plus
+        diff += int(np.count_nonzero(first != (rng.random(n) < p_plus)))
+    return diff / trials
+
+
+# the sampler's block edges (2^14 doubles) and chunk edges (10^6 trials)
+_EDGE_TRIALS = [10_000, 16_383, 16_384, 16_385, 999_999, 1_000_000, 1_000_001, 2_000_001]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    q=st.floats(0.0, 1.0),
+    trials=st.one_of(st.sampled_from(_EDGE_TRIALS), st.integers(10_000, 3_000_000)),
+    seed=st.integers(min_value=0),
+)
+@example(q=0.1, trials=10_000, seed=0)
+@example(q=0.1, trials=16_383, seed=1)
+@example(q=0.1, trials=16_384, seed=2)
+@example(q=0.1, trials=16_385, seed=3)
+@example(q=0.3, trials=999_999, seed=4)
+@example(q=0.3, trials=1_000_000, seed=5)
+@example(q=0.3, trials=1_000_001, seed=6)
+@example(q=1.0, trials=2_000_001, seed=7)
+def test_monte_carlo_blocks_draw_what_whole_chunks_draw(q, trials, seed):
+    assert qber_monte_carlo(q, trials, seed) == _qber_whole_chunks(q, trials, seed)
+
+
+def test_monte_carlo_memory_is_bounded():
+    # whole 10^6 chunks held about 9.5 MB of draws at once; the sampler's
+    # buffers are a 2^14-double block and a one-byte-per-trial chunk mask.
+    # One call first, so numpy.random's import stays out of the peak
+    qber_monte_carlo(0.1, trials=10_000, seed=1)
+    tracemalloc.start()
+    try:
+        qber_monte_carlo(0.1, trials=2_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 def test_monte_carlo_brackets_closed_form():
